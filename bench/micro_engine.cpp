@@ -10,6 +10,7 @@
 // --skip-attacker to omit the attacker-hook overhead record,
 // --skip-wan to omit the WAN-backend vs direct-broadcast record,
 // --skip-workload to omit the client-workload-generator record,
+// --skip-run-length to omit the run-length curve,
 // --only-scaling to record just the curve). Every record carries the
 // actual hardware thread count so bench_gate can refuse cross-machine
 // comparisons.
@@ -21,12 +22,14 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "baseline/baseline.hpp"
 #include "bench_common.hpp"
 #include "core/event_queue.hpp"
 #include "core/memstats.hpp"
 #include "core/rng.hpp"
+#include "core/stats.hpp"
 #include "core/thread_pool.hpp"
 #include "core/json.hpp"
 #include "net/delay_model.hpp"
@@ -266,6 +269,118 @@ json::Value measure_scaling_curve() {
     rows.push_back(json::Value{std::move(row)});
   }
   return json::Value{std::move(rows)};
+}
+
+/// Measures the run-length curve: pbft, hotstuff-ns and tendermint at
+/// n=16 for 1k and 4k decisions. Wall time: each pair times four 1k runs
+/// and one 4k run back to back, alternating which goes first, so both
+/// sides span about the same host time and speed drift hits them alike.
+/// Per point the record keeps the median, fastest and slowest per-run wall
+/// time and the spread ((max - min) / median); per protocol, wall_ratio is
+/// the median over pairs of wall(4k) / wall(1k) (~4 when a decision costs
+/// the same however long the run is), with its fastest and slowest pair.
+/// Memory: one more run per point is charged its peak-minus-baseline RSS
+/// the same way as a scaling point, and rss_per_decision_b is the growth
+/// per extra decision between the two lengths. tools/bench_gate checks
+/// both (docs/SCALING.md, "Long runs").
+json::Value measure_run_length() {
+  constexpr std::size_t kPairs = 7;
+  constexpr std::uint32_t kLengths[] = {1000, 4000};
+  constexpr int kShortRuns = kLengths[1] / kLengths[0];
+  const char* const protocols[] = {"pbft", "hotstuff-ns", "tendermint"};
+
+  std::printf("\n--- run-length curve (n=16, %zu pairs of runs) ---\n", kPairs);
+  json::Array points;
+  json::Array slopes;
+  for (const char* protocol : protocols) {
+    SimConfig cfg;
+    cfg.protocol = protocol;
+    cfg.n = 16;
+    cfg.lambda_ms = 1000;
+    cfg.delay = DelaySpec::normal(250, 50);
+    cfg.max_time_ms = 1e9;  // the default 600 s horizon ends pbft near d=800
+    cfg.seed = 1;
+
+    bool terminated[2] = {true, true};
+    std::uint64_t events[2] = {0, 0};
+    const auto timed = [&](int i, int runs) {
+      cfg.decisions = kLengths[i];
+      const auto start = std::chrono::steady_clock::now();
+      for (int k = 0; k < runs; ++k) {
+        const RunResult result = run_simulation(cfg);
+        terminated[i] = terminated[i] && result.terminated;
+        events[i] = result.events_processed;
+      }
+      return seconds_since(start) / runs;
+    };
+    std::vector<double> walls[2];
+    std::vector<double> ratios;
+    for (std::size_t r = 0; r < kPairs; ++r) {
+      const bool short_first = r % 2 == 0;
+      const double first = short_first ? timed(0, kShortRuns) : timed(1, 1);
+      const double second = short_first ? timed(1, 1) : timed(0, kShortRuns);
+      walls[0].push_back(short_first ? first : second);
+      walls[1].push_back(short_first ? second : first);
+      ratios.push_back(walls[1].back() / walls[0].back());
+    }
+
+    double rss[2] = {0.0, 0.0};
+    for (int i = 0; i < 2; ++i) {
+      cfg.decisions = kLengths[i];
+      trim_heap();
+      const std::size_t baseline_rss = current_rss_bytes();
+      const bool peak_reset = reset_peak_rss();
+      (void)run_simulation(cfg);
+      const std::size_t after_rss =
+          peak_reset ? peak_rss_bytes() : current_rss_bytes();
+      rss[i] = after_rss > baseline_rss
+                   ? static_cast<double>(after_rss - baseline_rss)
+                   : 0.0;
+
+      const Summary wall = summarize(walls[i]);
+      const double spread =
+          wall.median > 0.0 ? (wall.max - wall.min) / wall.median : 0.0;
+      std::printf("%-12s d=%-5u %9llu events, wall %7.3f s (spread %.2f), "
+                  "rss %6.1f MiB%s\n",
+                  protocol, kLengths[i],
+                  static_cast<unsigned long long>(events[i]), wall.median,
+                  spread, rss[i] / (1024.0 * 1024.0),
+                  terminated[i] ? "" : "  [DID NOT DECIDE]");
+
+      json::Object row;
+      row["protocol"] = protocol;
+      row["n"] = static_cast<std::int64_t>(cfg.n);
+      row["decisions"] = static_cast<std::int64_t>(kLengths[i]);
+      row["terminated"] = terminated[i];
+      row["events_processed"] = static_cast<double>(events[i]);
+      row["wall_seconds"] = wall.median;
+      row["wall_min"] = wall.min;
+      row["wall_max"] = wall.max;
+      row["wall_spread"] = spread;
+      row["rss_delta_bytes"] = rss[i];
+      points.push_back(json::Value{std::move(row)});
+    }
+    const Summary ratio = summarize(ratios);
+    const double per_decision =
+        (rss[1] - rss[0]) / static_cast<double>(kLengths[1] - kLengths[0]);
+    std::printf("%-12s wall(4k)/wall(1k) %.2f (pairs %.2f-%.2f), %.0f "
+                "B/decision\n",
+                protocol, ratio.median, ratio.min, ratio.max, per_decision);
+    json::Object slope;
+    slope["protocol"] = protocol;
+    slope["wall_ratio"] = ratio.median;
+    slope["wall_ratio_min"] = ratio.min;
+    slope["wall_ratio_max"] = ratio.max;
+    slope["rss_per_decision_b"] = per_decision;
+    slopes.push_back(json::Value{std::move(slope)});
+  }
+  json::Object o;
+  o["hardware_threads"] =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  o["pairs"] = static_cast<std::int64_t>(kPairs);
+  o["points"] = json::Value{std::move(points)};
+  o["protocols"] = json::Value{std::move(slopes)};
+  return json::Value{std::move(o)};
 }
 
 /// Times the windowed-parallel driver against its own serial baseline
@@ -575,7 +690,8 @@ void measure_parallel_speedup(const std::string& json_path, std::size_t jobs,
                               std::uint32_t intra_jobs,
                               json::Value attacker_hook,
                               json::Value wan_backend,
-                              json::Value client_workload) {
+                              json::Value client_workload,
+                              json::Value run_length) {
   SimConfig cfg;
   cfg.protocol = "pbft";
   cfg.n = 32;
@@ -630,6 +746,7 @@ void measure_parallel_speedup(const std::string& json_path, std::size_t jobs,
   if (client_workload.is_object()) {
     o["client_workload"] = std::move(client_workload);
   }
+  if (run_length.is_object()) o["run_length"] = std::move(run_length);
   write_json_file(json_path, json::Value{std::move(o)});
   std::printf("[speedup record written to %s]\n", json_path.c_str());
 }
@@ -647,6 +764,7 @@ int main(int argc, char** argv) {
   bool run_attacker = true;
   bool run_wan = true;
   bool run_workload = true;
+  bool run_run_length = true;
   bool only_scaling = false;
   if (const char* env = std::getenv("BFTSIM_JOBS")) {
     const long value = std::strtol(env, nullptr, 10);
@@ -671,6 +789,8 @@ int main(int argc, char** argv) {
       run_wan = false;
     } else if (std::strcmp(argv[i], "--skip-workload") == 0) {
       run_workload = false;
+    } else if (std::strcmp(argv[i], "--skip-run-length") == 0) {
+      run_run_length = false;
     } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
       repeats = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--skip-micro") == 0) {
@@ -719,10 +839,12 @@ int main(int argc, char** argv) {
       run_wan ? measure_wan_backend(repeats) : json::Value{};
   json::Value client_workload =
       run_workload ? measure_client_workload(repeats) : json::Value{};
+  json::Value run_length =
+      run_run_length ? measure_run_length() : json::Value{};
   measure_parallel_speedup(json_path, jobs, repeats,
                            std::move(engine_throughput), std::move(scaling),
                            std::move(intra), intra_jobs,
                            std::move(attacker_hook), std::move(wan_backend),
-                           std::move(client_workload));
+                           std::move(client_workload), std::move(run_length));
   return 0;
 }

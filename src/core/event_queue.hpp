@@ -17,8 +17,11 @@ namespace bftsim {
 /// Priority queue of simulation events, deterministic under ties.
 ///
 /// Timer cancellation is lazy: a cancelled timer's fire event stays in the
-/// heap (removing it eagerly would be O(n)) and its id is tombstoned until
-/// the dispatcher consumes the mark when the event pops. The queue tracks
+/// heap (removing it eagerly would be O(n)) and its id is tombstoned while
+/// the event is queued; popping it retires the tombstone and leaves a mark
+/// the dispatcher consumes. So at every instant
+/// size() == queued deliveries + pending_timer_count() + tombstone_count(),
+/// including between a pop and its dispatch. The queue tracks
 /// which timer ids are actually pending, so cancelling a timer that already
 /// fired — or was never scheduled — leaves no tombstone behind; both counts
 /// stay bounded by the number of in-flight timers no matter how long the
@@ -57,10 +60,15 @@ class EventQueue {
   [[nodiscard]] Event pop() {
     Event ev = heap_.pop();
     if (const auto* fire = std::get_if<TimerFire>(&ev.body)) {
-      if (fire->timer < timer_state_.size() &&
-          timer_state_[fire->timer] == kPending) {
-        timer_state_[fire->timer] = kIdle;
-        --pending_timers_;
+      if (fire->timer < timer_state_.size()) {
+        std::uint8_t& state = timer_state_[fire->timer];
+        if (state == kPending) {
+          state = kIdle;
+          --pending_timers_;
+        } else if (state == kCancelled) {
+          state = kPoppedCancelled;
+          --tombstones_;
+        }
       }
     }
     return ev;
@@ -78,13 +86,14 @@ class EventQueue {
     return true;
   }
 
-  /// True (consuming the tombstone) when timer `id` was cancelled. The
+  /// True (consuming the mark) when popped timer `id` was cancelled. The
   /// dispatcher calls this for every popped TimerFire; a hit means the
   /// firing must be dropped.
   [[nodiscard]] bool consume_cancellation(TimerId id) {
-    if (id >= timer_state_.size() || timer_state_[id] != kCancelled) return false;
+    if (id >= timer_state_.size() || timer_state_[id] != kPoppedCancelled) {
+      return false;
+    }
     timer_state_[id] = kIdle;
-    --tombstones_;
     return true;
   }
 
@@ -103,13 +112,18 @@ class EventQueue {
     return pending_timers_;
   }
 
-  /// Number of outstanding cancellation tombstones (test hook).
+  /// Number of cancelled fire events still queued.
   [[nodiscard]] std::size_t tombstone_count() const noexcept {
     return tombstones_;
   }
 
  private:
-  enum : std::uint8_t { kIdle = 0, kPending = 1, kCancelled = 2 };
+  enum : std::uint8_t {
+    kIdle = 0,
+    kPending = 1,
+    kCancelled = 2,         ///< fire event queued, tombstoned
+    kPoppedCancelled = 3,   ///< fire event popped, awaiting consume_cancellation
+  };
 
   void mark_pending(TimerId id) {
     if (id >= timer_state_.size()) {

@@ -1,6 +1,8 @@
 #include "protocols/pbft/pbft.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "core/log.hpp"
 
@@ -101,6 +103,9 @@ void PbftNode::handle_prepare(const Message& msg, Context& ctx) {
   const auto& m = *msg.as<Prepare>();
   if (!ctx.signer().verify(m.sig) || m.sig.signer != msg.src) return;
   if (m.view < view_) return;
+  // Below the working sequence a missing instance was retired, or was never
+  // pre-prepared and now never can be: prepares for it are inert.
+  if (retired(m.view, m.seq)) return;
   instance(m.view, m.seq).prepares.add(m.value, msg.src);
   if (m.view != view_ || in_view_change_) return;  // counted; acted on later
   maybe_prepare(m.view, m.seq, ctx);
@@ -112,9 +117,12 @@ void PbftNode::maybe_prepare(View view, std::uint64_t seq, Context& ctx) {
   const Value value = *inst.pre_prepared;
   if (!inst.prepares.reached(value, quorum(ctx))) return;
   inst.prepared = true;
-  // Remember the highest view in which this sequence prepared, for VCs.
-  auto& slot = prepared_at_[seq];
-  if (view >= slot.first) slot = {view, value};
+  // Remember the highest view in which this sequence prepared, for VCs
+  // (which only ever ask about the working sequence).
+  if (seq >= working_seq_) {
+    auto& slot = prepared_at_[seq];
+    if (view >= slot.first) slot = {view, value};
+  }
 
   if (!inst.sent_commit) {
     inst.sent_commit = true;
@@ -131,6 +139,12 @@ void PbftNode::handle_commit(const Message& msg, Context& ctx) {
   if (!ctx.signer().verify(m.sig) || m.sig.signer != msg.src) return;
   // Commits are accepted for any view: a 2f+1 commit certificate is final
   // regardless of the receiver's local view (this lets laggards catch up).
+  // Below the working sequence a commit can only matter to send_catch_up(),
+  // and not at all once the instance's committed value is logged.
+  if (retired(m.view, m.seq) &&
+      (!fault_catch_up_ || committed_log_.contains({m.seq, m.view}))) {
+    return;
+  }
   instance(m.view, m.seq).commits.add(m.value, msg.src);
   maybe_commit(m.view, m.seq, m.value, ctx);
 }
@@ -152,14 +166,33 @@ void PbftNode::try_decide(std::uint64_t seq, Value value, Context& ctx) {
   in_view_change_ = false;
   start_view_timer(ctx);
   if (leader_of(view_, ctx) == id_) propose(ctx);
+  retire_decided();
 
-  // Flush any sequences that already committed out of order.
-  for (const auto& [key, inst] : instances_) {
-    if (key.second == working_seq_ && inst.committed.has_value()) {
-      try_decide(working_seq_, *inst.committed, ctx);
-      break;
+  // Flush the next sequence if it already committed out of order, taking
+  // its lowest committed view.
+  for (auto it = instances_.lower_bound({working_seq_, 0});
+       it != instances_.end() && it->first.first == working_seq_; ++it) {
+    if (it->second.committed.has_value()) {
+      try_decide(working_seq_, *it->second.committed, ctx);
+      break;  // the recursion may have erased *it
     }
   }
+}
+
+void PbftNode::retire_decided() {
+  const auto watermark = instances_.lower_bound({working_seq_, 0});
+  for (auto it = instances_.begin(); it != watermark;) {
+    const auto& [key, inst] = *it;
+    const bool live = inst.pre_prepared.has_value() && !inst.sent_commit &&
+                      key.second >= view_;
+    if (live || (fault_catch_up_ && !inst.committed.has_value())) {
+      ++it;
+      continue;
+    }
+    if (fault_catch_up_) committed_log_.emplace(key, *inst.committed);
+    it = instances_.erase(it);
+  }
+  prepared_at_.erase(prepared_at_.begin(), prepared_at_.lower_bound(working_seq_));
 }
 
 void PbftNode::on_timer(const TimerEvent& ev, Context& ctx) {
@@ -221,12 +254,22 @@ void PbftNode::handle_view_change(const Message& msg, Context& ctx) {
 void PbftNode::send_catch_up(NodeId dst, std::uint64_t from_seq, Context& ctx) {
   // Re-send our commit for every decided sequence the laggard is missing.
   // Commit certificates are final in any view (see handle_commit), so once
-  // 2f+1 peers answer, the laggard decides and flushes forward.
-  for (const auto& [key, inst] : instances_) {
-    const auto& [view, seq] = key;
-    if (seq < from_seq || seq >= working_seq_) continue;
-    if (!inst.committed.has_value()) continue;
-    const Value value = *inst.committed;
+  // 2f+1 peers answer, the laggard decides and flushes forward. Commits go
+  // out in (view, seq) order.
+  std::vector<std::tuple<View, std::uint64_t, Value>> commits;
+  const std::pair<std::uint64_t, View> from{from_seq, 0};
+  for (auto it = committed_log_.lower_bound(from);
+       it != committed_log_.end() && it->first.first < working_seq_; ++it) {
+    commits.emplace_back(it->first.second, it->first.first, it->second);
+  }
+  for (auto it = instances_.lower_bound(from);
+       it != instances_.end() && it->first.first < working_seq_; ++it) {
+    if (it->second.committed.has_value()) {
+      commits.emplace_back(it->first.second, it->first.first, *it->second.committed);
+    }
+  }
+  std::sort(commits.begin(), commits.end());
+  for (const auto& [view, seq, value] : commits) {
     ctx.send(dst, ctx.make_payload<Commit>(
                       view, seq, value,
                       ctx.signer().sign(
@@ -238,7 +281,7 @@ void PbftNode::maybe_complete_view_change(View target, Context& ctx) {
   if (leader_of(target, ctx) != id_) return;
   const auto it = view_changes_.find(target);
   if (it == view_changes_.end() || it->second.size() < quorum(ctx)) return;
-  if (!new_view_sent_.mark(target)) return;
+  if (!new_view_sent_.insert(target).second) return;
 
   // Choose the value prepared in the highest view among the certificates,
   // for the highest working sequence reported.
@@ -281,13 +324,23 @@ void PbftNode::enter_view(View v, Context& ctx) {
   target_view_ = std::max(target_view_, v);
   ctx.record_view(v);
   start_view_timer(ctx);
+  retire_decided();
+  // View-change state for views up to v is never read again.
+  view_changes_.erase(view_changes_.begin(), view_changes_.upper_bound(v));
+  new_view_sent_.erase(new_view_sent_.begin(), new_view_sent_.upper_bound(v));
   // Act on any pre-prepares/prepares that arrived for this view while we
-  // were still completing the view change.
-  for (auto& [key, inst] : instances_) {
-    if (key.first != v || !inst.pre_prepared.has_value()) continue;
-    if (key.second < working_seq_) continue;
-    send_prepare(v, key.second, *inst.pre_prepared, ctx);
-    maybe_prepare(v, key.second, ctx);
+  // were still completing the view change. Deciding inside the walk
+  // advances working_seq_ and retires instances, so the walk re-seeks by
+  // key after each step and re-checks the working sequence.
+  for (auto it = instances_.lower_bound({working_seq_, v}); it != instances_.end();) {
+    const auto [seq, view] = it->first;
+    if (view != v || seq < working_seq_ || !it->second.pre_prepared.has_value()) {
+      ++it;
+      continue;
+    }
+    send_prepare(v, seq, *it->second.pre_prepared, ctx);
+    maybe_prepare(v, seq, ctx);
+    it = instances_.upper_bound({seq, v});
   }
 }
 

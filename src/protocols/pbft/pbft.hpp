@@ -10,16 +10,30 @@
 //
 // Simplifications relative to a production deployment (documented in
 // DESIGN.md): clients and request batching are modeled as a built-in
-// stream of proposals; checkpoints/garbage collection are unnecessary at
-// simulation scale; the new-view message carries the single highest
+// stream of proposals; the new-view message carries the single highest
 // prepared value rather than full prepared-certificate sets (equivalent
 // here because sequences are decided one at a time).
+//
+// There are no checkpoint messages. Instead each node retires decided
+// instances locally, which keeps per-node state bounded by the live window
+// without changing a single message. Below the working sequence an
+// instance's pre-prepare is frozen, so the only thing it can still do is
+// broadcast this node's own Commit once late prepares complete its quorum
+// (the node may have decided first on 2f+1 commits). It therefore stays
+// live iff it is pre-prepared, has not sent its commit, and belongs to the
+// current view or a later one; every other instance below the working
+// sequence is erased when the sequence advances or the view changes, and
+// votes addressed to an erased instance are dropped — provably no-ops. With
+// fault catch-up on, send_catch_up() still reads the committed value of
+// old instances, so those are kept as a compact committed log (plus the
+// commit tracker of any old instance that has not committed yet).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 
 #include "core/config.hpp"
 #include "crypto/signature.hpp"
@@ -139,6 +153,12 @@ class PbftNode final : public Node {
   void on_message(const Message& msg, Context& ctx) override;
   void on_timer(const TimerEvent& ev, Context& ctx) override;
 
+  /// Instances currently held (live window plus, with fault catch-up, old
+  /// instances still collecting commits). Test hook.
+  [[nodiscard]] std::size_t live_instances() const noexcept {
+    return instances_.size();
+  }
+
   /// Multiple of λ used as the base view timeout (pre-prepare + prepare +
   /// commit is three one-way delays; 6 leaves headroom for quorum tails).
   static constexpr int kTimeoutFactor = 6;
@@ -165,7 +185,12 @@ class PbftNode final : public Node {
     return 2 * ctx.f() + 1 - quorum_slack_;
   }
   [[nodiscard]] Instance& instance(View view, std::uint64_t seq) {
-    return instances_[{view, seq}];
+    return instances_[{seq, view}];
+  }
+  /// True when (view, seq) lies below the working sequence and holds no
+  /// instance (it was retired, or no vote for it ever arrived).
+  [[nodiscard]] bool retired(View view, std::uint64_t seq) const {
+    return seq < working_seq_ && !instances_.contains({seq, view});
   }
 
   void start_view_timer(Context& ctx);
@@ -183,6 +208,7 @@ class PbftNode final : public Node {
   void maybe_complete_view_change(View target, Context& ctx);
   void enter_view(View v, Context& ctx);
   void send_catch_up(NodeId dst, std::uint64_t from_seq, Context& ctx);
+  void retire_decided();
 
   NodeId id_;
   std::uint32_t quorum_slack_ = 0;  ///< nonzero only in the fuzzer canary
@@ -201,7 +227,13 @@ class PbftNode final : public Node {
   // active, which keeps fault-free runs byte-identical to the goldens.
   bool fault_catch_up_ = false;
 
-  std::map<std::pair<View, std::uint64_t>, Instance> instances_;
+  // Keyed (seq, view): the flush in try_decide() and the walks in
+  // enter_view()/send_catch_up() touch one sequence range, not every
+  // instance ever created.
+  std::map<std::pair<std::uint64_t, View>, Instance> instances_;
+  // Committed values of retired instances, kept only with fault catch-up
+  // (the one reader is send_catch_up()). Keyed (seq, view) like instances_.
+  std::map<std::pair<std::uint64_t, View>, Value> committed_log_;
 
   // View-change bookkeeping.
   struct VcInfo {
@@ -212,7 +244,7 @@ class PbftNode final : public Node {
   };
   std::map<View, std::map<NodeId, VcInfo>> view_changes_;
   std::map<NodeId, View> latest_vc_of_;  ///< join rule bookkeeping
-  OnceSet<View> new_view_sent_;
+  std::set<View> new_view_sent_;
 
   // Highest prepared value for the working sequence (carried in VCs).
   std::map<std::uint64_t, std::pair<View, Value>> prepared_at_;

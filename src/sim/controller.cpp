@@ -1017,7 +1017,7 @@ void Controller::sample_timeline(bool final_sample) {
   s.at = now_;
   s.events_processed = metrics_.events_processed();
   s.queue_depth = depth;
-  s.in_flight_messages = depth - timers - tombstones;
+  s.in_flight_messages = depth - timers - tombstones;  // exact: see EventQueue
   s.timers_pending = timers;
   s.messages_sent = metrics_.messages_sent();
   s.messages_delivered = metrics_.messages_delivered();

@@ -91,9 +91,10 @@ TEST(EventQueueTest, CancelTombstonesOnlyPendingTimers) {
   EXPECT_EQ(queue.tombstone_count(), 1u);
   EXPECT_EQ(queue.pending_timer_count(), 0u);
 
-  // The fire event still pops (lazy deletion), and the dispatcher's
-  // consume call retires the tombstone.
+  // The fire event still pops (lazy deletion). Once popped it no longer
+  // counts as queued, and the dispatcher's consume call reports the cancel.
   const Event ev = queue.pop();
+  EXPECT_EQ(queue.tombstone_count(), 0u);
   EXPECT_TRUE(queue.consume_cancellation(std::get<TimerFire>(ev.body).timer));
   EXPECT_FALSE(queue.consume_cancellation(5));
   EXPECT_EQ(queue.tombstone_count(), 0u);

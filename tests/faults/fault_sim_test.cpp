@@ -3,11 +3,15 @@
 // cross-protocol safety under a combined crash + link-flap schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "crypto/signature.hpp"
 #include "faults/fault_injector.hpp"
+#include "protocols/pbft/pbft.hpp"
 #include "protocols/registry.hpp"
 #include "sim/simulation.hpp"
 #include "validator/validator.hpp"
@@ -67,6 +71,84 @@ TEST(CrashRecover, MessagesAreDroppedDuringWindow) {
   const RunResult baseline = run_simulation(clean);
 
   EXPECT_GT(faulty.messages_dropped, baseline.messages_dropped);
+}
+
+TEST(CrashRecover, PbftCatchesUpOnLongOutageInOrder) {
+  // Node 3 sleeps through more than 50 PBFT decisions, long after its peers
+  // retired those instances. On recovery its view change makes every peer
+  // re-send the commits it missed; it must decide every missed sequence in
+  // order, and each peer's catch-up burst must come out in (view, seq) order.
+  constexpr NodeId kLaggard = 3;
+  constexpr std::uint64_t kMissedAtLeast = 50;
+  SimConfig cfg = base_config("pbft", 4, 41);
+  cfg.decisions = 90;
+  cfg.record_trace = true;
+  constexpr double kCrashMs = 300.0;
+  constexpr double kOutageMs = 60'000.0;
+  cfg.faults.crashes.push_back({kLaggard, kCrashMs, kOutageMs});
+
+  const RunResult result = run_simulation(cfg);
+  ASSERT_TRUE(result.terminated) << to_string(result.termination_reason);
+  EXPECT_TRUE(check_run_safety(result).ok);
+
+  // The laggard decides heights 0, 1, 2, ... in order, each with the value
+  // the other nodes decided at that height.
+  std::map<std::uint64_t, Value> decided;  // height -> value
+  std::vector<Decision> laggard;
+  for (const Decision& d : result.decisions) {
+    if (d.node == kLaggard) {
+      laggard.push_back(d);
+    } else {
+      decided.emplace(d.height, d.value);
+    }
+  }
+  ASSERT_GE(laggard.size(), cfg.decisions);
+  for (std::size_t i = 0; i < laggard.size(); ++i) {
+    EXPECT_EQ(laggard[i].height, i);
+    EXPECT_EQ(laggard[i].value, decided.at(i)) << "height " << i;
+  }
+  std::uint64_t missed = 0;  // heights the leader decided during the outage
+  for (const Decision& d : result.decisions) {
+    if (d.node == 0 && d.at < from_ms(kCrashMs + kOutageMs)) ++missed;
+  }
+  EXPECT_GE(missed, kMissedAtLeast);
+
+  // Decode each commit the peers unicast to the laggard. A catch-up burst
+  // is a maximal run of adjacent commit sends from one peer at one instant.
+  View max_view = 0;
+  for (const ViewRecord& v : result.views) max_view = std::max(max_view, v.view);
+  std::map<std::uint64_t, std::pair<View, std::uint64_t>> by_digest;
+  for (const auto& [height, value] : decided) {
+    for (View view = 0; view <= max_view; ++view) {
+      by_digest.emplace(pbft::Commit(view, height, value, Signature{}).digest(),
+                        std::pair{view, height});
+    }
+  }
+  const auto is_catch_up = [&](const TraceRecord& r) {
+    return r.kind == TraceKind::kSend && r.b == kLaggard && r.type == "pbft/commit";
+  };
+  const std::vector<TraceRecord>& records = result.trace.records();
+  std::size_t longest_burst = 0;
+  for (std::size_t i = 0; i < records.size();) {
+    if (!is_catch_up(records[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    std::vector<std::pair<View, std::uint64_t>> burst;
+    while (j < records.size() && is_catch_up(records[j]) &&
+           records[j].a == records[i].a && records[j].at == records[i].at) {
+      const auto it = by_digest.find(records[j].digest);
+      ASSERT_NE(it, by_digest.end()) << "commit for an undecided (view, seq)";
+      burst.push_back(it->second);
+      ++j;
+    }
+    EXPECT_TRUE(std::is_sorted(burst.begin(), burst.end()));
+    EXPECT_EQ(std::adjacent_find(burst.begin(), burst.end()), burst.end());
+    longest_burst = std::max(longest_burst, burst.size());
+    i = j;
+  }
+  EXPECT_GE(longest_burst, kMissedAtLeast);
 }
 
 // --- link flaps ------------------------------------------------------------

@@ -93,6 +93,29 @@ TEST(TimelineTest, ViewVectorCanBeDisabled) {
   }
 }
 
+TEST(TimelineTest, CancelledTimerPopsKeepTheDepthIdentity) {
+  // Every PBFT decision cancels and re-arms the view timer, so the queue
+  // holds a trail of cancelled fires. A crashed leader leaves stretches with
+  // no message in flight, where those fires pop with a sample taken between
+  // the pop and its dispatch. in_flight_messages must not count the popped
+  // fire's tombstone (it used to wrap below zero there).
+  SimConfig cfg = timeline_config(1.0);
+  cfg.decisions = 30;
+  cfg.max_time_ms = 600'000;
+  cfg.faults.crashes.push_back({0, 8'000.0, 20'000.0});
+  const RunResult result = run_simulation(cfg);
+  ASSERT_TRUE(result.terminated);
+  ASSERT_FALSE(result.timeline.empty());
+  std::size_t idle_samples = 0;
+  for (const obs::TimelineSample& s : result.timeline) {
+    EXPECT_LE(s.in_flight_messages, s.queue_depth) << "at " << s.at;
+    EXPECT_LE(s.in_flight_messages + s.timers_pending, s.queue_depth)
+        << "at " << s.at;
+    if (s.in_flight_messages == 0) ++idle_samples;
+  }
+  EXPECT_GT(idle_samples, 0u);  // the stretch the identity is tested on
+}
+
 TEST(TimelineTest, TickBoundsSampleCount) {
   // One sample per elapsed tick at most (plus the final-state sample).
   SimConfig cfg = timeline_config(1.0);

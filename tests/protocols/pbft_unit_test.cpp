@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/mock_context.hpp"
 
 namespace bftsim::pbft {
@@ -196,6 +198,84 @@ TEST(PbftUnitTest, StaleSequencesIgnoredAfterDecision) {
   // Pre-prepare for the already-decided sequence is ignored.
   fx.ctx.deliver(fx.node, 0, fx.pre_prepare(0, 0, 0, 77));
   EXPECT_TRUE(fx.ctx.sent_of<Prepare>().empty());
+}
+
+// --- decided-instance retirement --------------------------------------------
+
+TEST(PbftUnitTest, LatePrepareQuorumAfterDecisionStillSendsOwnCommit) {
+  // The node decides seq 0 on 2f+1 commits before its own prepare quorum
+  // forms. The prepares that complete the quorum afterwards must still make
+  // it broadcast its Commit: that instance sits below the working sequence
+  // but is not dead yet.
+  Fixture fx;
+  fx.ctx.deliver(fx.node, 0, fx.pre_prepare(0, 0, 0, 42));
+  for (const NodeId voter : {0u, 2u, 3u}) {
+    fx.ctx.deliver(fx.node, voter, fx.commit(voter, 0, 0, 42));
+  }
+  ASSERT_EQ(fx.ctx.decisions.size(), 1u);
+  EXPECT_TRUE(fx.ctx.sent_of<Commit>().empty());
+
+  for (const NodeId voter : {0u, 2u, 3u}) {
+    fx.ctx.deliver(fx.node, voter, fx.prepare(voter, 0, 0, 42));
+  }
+  const auto commits = fx.ctx.sent_of<Commit>();
+  ASSERT_EQ(commits.size(), 1u);
+  EXPECT_EQ(commits[0]->view, 0u);
+  EXPECT_EQ(commits[0]->seq, 0u);
+  EXPECT_EQ(commits[0]->value, 42u);
+  EXPECT_EQ(fx.ctx.decisions.size(), 1u);  // no second decision
+
+  fx.ctx.deliver(fx.node, 2, fx.prepare(2, 0, 0, 42));  // duplicate: inert
+  EXPECT_EQ(fx.ctx.sent_of<Commit>().size(), 1u);
+}
+
+TEST(PbftUnitTest, OutOfOrderCommitQuorumFlushesLowestCommittedView) {
+  // Seq 1 commits in view 3 and then in view 1 before seq 0 decides. When
+  // seq 0 decides, the flush decides seq 1 with the lowest committed view's
+  // value. (The two values differ only so the choice is observable.)
+  Fixture fx;
+  for (const NodeId voter : {0u, 2u, 3u}) {
+    fx.ctx.deliver(fx.node, voter, fx.commit(voter, 3, 1, 77));
+  }
+  for (const NodeId voter : {0u, 2u, 3u}) {
+    fx.ctx.deliver(fx.node, voter, fx.commit(voter, 1, 1, 66));
+  }
+  for (const NodeId voter : {0u, 2u, 3u}) {
+    fx.ctx.deliver(fx.node, voter, fx.commit(voter, 0, 2, 55));
+  }
+  EXPECT_TRUE(fx.ctx.decisions.empty());
+
+  for (const NodeId voter : {0u, 2u, 3u}) {
+    fx.ctx.deliver(fx.node, voter, fx.commit(voter, 0, 0, 42));
+  }
+  ASSERT_EQ(fx.ctx.decisions.size(), 3u);
+  EXPECT_EQ(fx.ctx.decisions[0], 42u);
+  EXPECT_EQ(fx.ctx.decisions[1], 66u);
+  EXPECT_EQ(fx.ctx.decisions[2], 55u);
+}
+
+TEST(PbftUnitTest, InstanceCountStaysBoundedOverLongRuns) {
+  // 500 decisions, each in the order that leaves an instance live past its
+  // decision (commits before prepares), plus a stray commit for an old
+  // (view, seq) that never existed. State must not grow with the run.
+  Fixture fx;
+  constexpr std::uint64_t kDecisions = 500;
+  std::size_t max_live = 0;
+  for (std::uint64_t seq = 0; seq < kDecisions; ++seq) {
+    const Value value = 1000 + seq;
+    fx.ctx.deliver(fx.node, 0, fx.pre_prepare(0, 0, seq, value));
+    for (const NodeId voter : {0u, 2u, 3u}) {
+      fx.ctx.deliver(fx.node, voter, fx.commit(voter, 0, seq, value));
+    }
+    for (const NodeId voter : {0u, 2u, 3u}) {
+      fx.ctx.deliver(fx.node, voter, fx.prepare(voter, 0, seq, value));
+    }
+    fx.ctx.deliver(fx.node, 2, fx.commit(2, 1, seq, value));
+    max_live = std::max(max_live, fx.node.live_instances());
+  }
+  ASSERT_EQ(fx.ctx.decisions.size(), kDecisions);
+  EXPECT_EQ(fx.ctx.sent_of<Commit>().size(), kDecisions);
+  EXPECT_LE(max_live, 2u);
 }
 
 }  // namespace

@@ -56,6 +56,17 @@
 // events/sec) must stay above the --tolerance floor of the reference
 // ratio.
 //
+// When the current file carries a "run_length" record (pbft, hotstuff-ns
+// and tendermint at n=16 for 1k and 4k decisions; see docs/SCALING.md,
+// "Long runs"), every point must have decided, every protocol's
+// wall(4k)/wall(1k) ratio must stay at or below 4.5 (4 is linear in run
+// length; the ratio is a same-machine figure, so it is gated even without
+// a reference), and its resident growth per decision must stay under the
+// reference's per-protocol rss_per_decision_ceiling_b. A reference row may
+// carry a wall_ratio_ceiling for a protocol whose per-decision cost is
+// known to grow with run length; it replaces the 4.5 limit for that
+// protocol only.
+//
 // Usage:
 //   bench_gate --current micro.json --reference BENCH_engine.json
 //              [--tolerance 0.25] [--mem-tolerance 0.35]
@@ -112,6 +123,11 @@ constexpr double kMinGatedBytesPerNode = 4096.0;
 /// Speed references from runs shorter than this are scheduling noise;
 /// only their memory side is gated.
 constexpr double kMinGatedWallSeconds = 0.1;
+
+/// Largest wall(4k)/wall(1k) a run-length curve may show unless the
+/// reference says otherwise: 4 is a constant per-decision cost, the rest
+/// absorbs cache effects and timer noise.
+constexpr double kMaxRunLengthWallRatio = 4.5;
 
 std::vector<ScalePoint> parse_scaling(const Value& doc) {
   std::vector<ScalePoint> points;
@@ -512,8 +528,71 @@ int main(int argc, char** argv) {
       }
     }
 
+    // --- Run-length curve: linear wall time + bounded RSS growth --------
+    int run_length_compared = 0;
+    const Value* rl_cur = current_doc.as_object().find("run_length");
+    if (rl_cur != nullptr && rl_cur->is_object()) {
+      if (const Value* points = rl_cur->as_object().find("points");
+          points != nullptr && points->is_array()) {
+        for (const Value& p : points->as_array()) {
+          const Value* terminated = p.as_object().find("terminated");
+          if (terminated == nullptr || !terminated->as_bool()) {
+            ++regressions;
+            std::printf("FAIL  length %-12s d=%-5lld did not decide\n",
+                        p.get_string("protocol", "").c_str(),
+                        static_cast<long long>(p.get_int("decisions", 0)));
+          }
+        }
+      }
+      const Value* rl_ref = reference_doc.as_object().find("run_length");
+      const Value* ref_rows = rl_ref != nullptr && rl_ref->is_object()
+                                  ? rl_ref->as_object().find("protocols")
+                                  : nullptr;
+      const Value* cur_rows = rl_cur->as_object().find("protocols");
+      if (cur_rows != nullptr && cur_rows->is_array()) {
+        for (const Value& cur : cur_rows->as_array()) {
+          const std::string protocol = cur.get_string("protocol", "");
+          const double ratio = cur.get_number("wall_ratio", 0.0);
+          const double per_decision = cur.get_number("rss_per_decision_b", 0.0);
+          double ceiling = 0.0;
+          double ratio_limit = kMaxRunLengthWallRatio;
+          if (ref_rows != nullptr && ref_rows->is_array()) {
+            for (const Value& r : ref_rows->as_array()) {
+              if (r.get_string("protocol", "") == protocol) {
+                ceiling = r.get_number("rss_per_decision_ceiling_b", 0.0);
+                ratio_limit =
+                    r.get_number("wall_ratio_ceiling", kMaxRunLengthWallRatio);
+              }
+            }
+          }
+          ++run_length_compared;
+          bool ok = true;
+          if (ratio <= 0.0 || ratio > ratio_limit) {
+            ok = false;
+            ++regressions;
+            std::printf("FAIL  length %-12s wall(4k)/wall(1k) %.2f > %.2f\n",
+                        protocol.c_str(), ratio, ratio_limit);
+          }
+          if (ceiling > 0.0 && per_decision > ceiling) {
+            ok = false;
+            ++regressions;
+            std::printf("FAIL  length %-12s %.0f B/decision > ceiling %.0f\n",
+                        protocol.c_str(), per_decision, ceiling);
+          }
+          if (ok) {
+            std::printf("OK    length %-12s wall(4k)/wall(1k) %.2f <= %.2f, "
+                        "%.0f B/decision%s\n",
+                        protocol.c_str(), ratio, ratio_limit, per_decision,
+                        ceiling > 0.0 ? "" : " (memory ungated: no reference "
+                                             "ceiling)");
+          }
+        }
+      }
+    }
+
     if (compared == 0 && scale_compared == 0 && intra_compared == 0 &&
-        hook_compared == 0 && wan_compared == 0 && workload_compared == 0) {
+        hook_compared == 0 && wan_compared == 0 && workload_compared == 0 &&
+        run_length_compared == 0) {
       std::fprintf(stderr, "nothing matched between %s and %s\n",
                    current_path.c_str(), reference_path.c_str());
       return 2;
@@ -523,15 +602,15 @@ int main(int argc, char** argv) {
                    "or >%.0f%% more memory)\n",
                    regressions,
                    compared + scale_compared + intra_compared + hook_compared +
-                       wan_compared + workload_compared,
+                       wan_compared + workload_compared + run_length_compared,
                    100.0 * tolerance, 100.0 * mem_tolerance);
       return 1;
     }
     std::printf("all %d workloads, %d scaling points, %d intra-speedup, "
-                "%d attacker-hook, %d wan-backend and %d client-workload "
-                "records within tolerance\n",
+                "%d attacker-hook, %d wan-backend, %d client-workload and "
+                "%d run-length records within tolerance\n",
                 compared, scale_compared, intra_compared, hook_compared,
-                wan_compared, workload_compared);
+                wan_compared, workload_compared, run_length_compared);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_gate: %s\n", e.what());
