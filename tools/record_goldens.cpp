@@ -11,7 +11,14 @@
 // Regenerate (only when an intentional behavior change is being made):
 //   cmake --build build -j --target record_goldens
 //   ./build/tools/record_goldens tests/data/engine_goldens.json
+//
+// `--windowed [path]` records the per-node-RNG goldens instead (default
+// tests/data/windowed_goldens.json): the one-lane RunResult identity of
+// every attack-free aggregate point and of each hand-written scenario in
+// tests/sim/windowed_test.cpp, which checks its one-lane runs against it.
+//   ./build/tools/record_goldens --windowed tests/data/windowed_goldens.json
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -336,6 +343,138 @@ std::vector<SinglePoint> workload_single_points() {
   return points;
 }
 
+/// The one-lane run of `cfg` under per-node RNG, traced — exactly what
+/// windowed_test.cpp's expect_lane_invariant() compares every lane count
+/// against.
+SimConfig one_lane(SimConfig cfg) {
+  cfg.engine.intra_jobs = 1;
+  cfg.engine.rng = EngineConfig::RngMode::kPerNode;
+  cfg.record_trace = true;
+  return cfg;
+}
+
+SimConfig windowed_base_cfg() {
+  SimConfig cfg;
+  cfg.protocol = "pbft";
+  cfg.n = 16;
+  cfg.delay = DelaySpec::uniform(200.0, 400.0);
+  cfg.seed = 7;
+  cfg.decisions = 2;
+  return cfg;
+}
+
+/// The hand-written scenarios of tests/sim/windowed_test.cpp, by the names
+/// that test looks them up under (it also checks the configs still match).
+std::vector<SinglePoint> windowed_hand_points() {
+  std::vector<SinglePoint> points;
+  for (const char* protocol :
+       {"pbft", "hotstuff-ns", "tendermint", "librabft"}) {
+    SimConfig cfg = windowed_base_cfg();
+    cfg.protocol = protocol;
+    cfg.decisions = 3;
+    points.push_back(SinglePoint{std::string("protocols/") + protocol, cfg});
+  }
+  {
+    SimConfig cfg = windowed_base_cfg();
+    cfg.cost.verify_ms = 0.4;
+    cfg.cost.sign_ms = 0.9;
+    points.push_back(SinglePoint{"cost-model", cfg});
+  }
+  {
+    SimConfig cfg = windowed_base_cfg();
+    json::Object topo;
+    topo["regions"] = std::int64_t{4};
+    topo["cross_factor"] = 1.5;
+    topo["cross_extra_ms"] = 40.0;
+    cfg.topology = json::Value(topo);
+    points.push_back(SinglePoint{"geo-topology", cfg});
+  }
+  {
+    SimConfig cfg = windowed_base_cfg();
+    cfg.decisions = 3;
+    cfg.max_time_ms = 120'000.0;
+    cfg.faults.crashes.push_back({3, 500.0, 1500.0});
+    cfg.faults.crashes.push_back({7, 900.0, 400.0});
+    cfg.faults.link_flaps.push_back({1, 2, 200.0, 1800.0});
+    cfg.faults.link_flaps.push_back({0, 5, 700.0, 600.0});
+    points.push_back(SinglePoint{"crash-flap", cfg});
+  }
+  {
+    SimConfig cfg = windowed_base_cfg();
+    cfg.decisions = 3;
+    cfg.faults.corruption.rate = 0.2;
+    cfg.faults.corruption.start_ms = 0.0;
+    cfg.faults.corruption.end_ms = 0.0;
+    points.push_back(SinglePoint{"corruption", cfg});
+  }
+  {
+    SimConfig cfg = windowed_base_cfg();
+    cfg.faults.clock.max_skew_ms = 10.0;
+    cfg.faults.clock.max_drift = 0.01;
+    points.push_back(SinglePoint{"clock-skew", cfg});
+  }
+  {
+    SimConfig cfg = windowed_base_cfg();
+    cfg.decisions = 3;
+    cfg.faults.random_crashes = {3, 0.0, 2000.0, 100.0, 1200.0};
+    cfg.faults.random_link_flaps = {4, 0.0, 2500.0, 100.0, 900.0};
+    points.push_back(SinglePoint{"random-windows", cfg});
+  }
+  return points;
+}
+
+/// The identity a one-lane windowed golden pins.
+json::Value lane_identity_to_json(const RunResult& r) {
+  json::Object o;
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx",
+                static_cast<unsigned long long>(r.trace_fingerprint));
+  o["trace_fingerprint"] = std::string(hex);
+  o["trace_records"] = static_cast<std::int64_t>(r.trace_records);
+  o["events_processed"] = static_cast<std::int64_t>(r.events_processed);
+  o["messages_sent"] = static_cast<std::int64_t>(r.messages_sent);
+  o["messages_delivered"] = static_cast<std::int64_t>(r.messages_delivered);
+  o["messages_dropped"] = static_cast<std::int64_t>(r.messages_dropped);
+  o["messages_corrupted"] = static_cast<std::int64_t>(r.messages_corrupted);
+  o["timers_fired"] = static_cast<std::int64_t>(r.timers_fired);
+  o["termination_time"] = static_cast<std::int64_t>(r.termination_time);
+  o["termination_reason"] = std::string(to_string(r.termination_reason));
+  return json::Value{std::move(o)};
+}
+
+int record_windowed(const std::string& out_path) {
+  std::vector<SinglePoint> points;
+  for (const AggregatePoint& point : aggregate_points()) {
+    if (point.cfg.attack.empty()) {
+      points.push_back(SinglePoint{point.name, point.cfg});
+    }
+  }
+  for (SinglePoint& point : windowed_hand_points()) {
+    points.push_back(std::move(point));
+  }
+
+  json::Array array;
+  for (const SinglePoint& point : points) {
+    std::printf("recording %-45s ...", point.name.c_str());
+    std::fflush(stdout);
+    const SimConfig cfg = one_lane(point.cfg);
+    const RunResult r = run_simulation(cfg);
+    json::Object o;
+    o["name"] = point.name;
+    o["config"] = cfg.to_json();
+    o["identity"] = lane_identity_to_json(r);
+    array.push_back(json::Value{std::move(o)});
+    std::printf(" done (%llu events)\n",
+                static_cast<unsigned long long>(r.events_processed));
+  }
+  json::Object top;
+  top["generated_by"] = "tools/record_goldens --windowed";
+  top["points"] = json::Value{std::move(array)};
+  write_json_file(out_path, json::Value{std::move(top)});
+  std::printf("windowed goldens written to %s\n", out_path.c_str());
+  return 0;
+}
+
 json::Value single_result_to_json(const RunResult& r) {
   json::Object o;
   o["terminated"] = r.terminated;
@@ -354,6 +493,10 @@ json::Value single_result_to_json(const RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "--windowed") == 0) {
+    return record_windowed(argc > 2 ? argv[2]
+                                    : "tests/data/windowed_goldens.json");
+  }
   const std::string out_path =
       argc > 1 ? argv[1] : "tests/data/engine_goldens.json";
 
