@@ -387,8 +387,10 @@ json::Value measure_run_length() {
 /// (engine.rng = "per_node", intra_jobs = 1) on large single runs — the
 /// intra-run counterpart of the run_repeated comparison below. Both modes
 /// execute the identical per-node-RNG semantics, so the results must be
-/// bit-identical; speedup tracks the machine (~1x on one core). See
-/// docs/PARALLELISM.md.
+/// bit-identical; speedup tracks the machine (~1x on one core), so the
+/// record carries its own hardware_threads. Each workload runs kPairs
+/// alternating serial/parallel pairs; the row reports the median pair
+/// speedup with its min and max. See docs/PARALLELISM.md.
 json::Value measure_intra_speedup(std::uint32_t intra_jobs) {
   struct Workload {
     const char* protocol;
@@ -399,9 +401,12 @@ json::Value measure_intra_speedup(std::uint32_t intra_jobs) {
       {"pbft", 4096, 1},
       {"hotstuff-ns", 4096, 10},
   };
+  constexpr int kPairs = 3;
 
-  std::printf("\n--- windowed intra-run speedup (single run, intra_jobs=%u) ---\n",
-              intra_jobs);
+  std::printf(
+      "\n--- windowed intra-run speedup (single run, intra_jobs=%u, %d "
+      "pairs) ---\n",
+      intra_jobs, kPairs);
   json::Array rows;
   for (const Workload& w : workloads) {
     SimConfig cfg;
@@ -413,43 +418,60 @@ json::Value measure_intra_speedup(std::uint32_t intra_jobs) {
     cfg.seed = 1;
     cfg.engine.rng = EngineConfig::RngMode::kPerNode;
 
-    cfg.engine.intra_jobs = 1;
-    const auto serial_start = std::chrono::steady_clock::now();
-    const RunResult serial = run_simulation(cfg);
-    const double serial_seconds = seconds_since(serial_start);
+    std::vector<double> serial_walls;
+    std::vector<double> parallel_walls;
+    std::vector<double> speedups;
+    bool identical = true;
+    std::uint64_t events = 0;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      cfg.engine.intra_jobs = 1;
+      const auto serial_start = std::chrono::steady_clock::now();
+      const RunResult serial = run_simulation(cfg);
+      serial_walls.push_back(seconds_since(serial_start));
 
-    cfg.engine.intra_jobs = intra_jobs;
-    const auto parallel_start = std::chrono::steady_clock::now();
-    const RunResult parallel = run_simulation(cfg);
-    const double parallel_seconds = seconds_since(parallel_start);
+      cfg.engine.intra_jobs = intra_jobs;
+      const auto parallel_start = std::chrono::steady_clock::now();
+      const RunResult parallel = run_simulation(cfg);
+      parallel_walls.push_back(seconds_since(parallel_start));
 
-    const bool identical =
-        serial.events_processed == parallel.events_processed &&
-        serial.messages_sent == parallel.messages_sent &&
-        serial.messages_delivered == parallel.messages_delivered &&
-        serial.termination_time == parallel.termination_time &&
-        serial.decisions.size() == parallel.decisions.size();
-    const double speedup =
-        parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
+      identical = identical &&
+                  serial.events_processed == parallel.events_processed &&
+                  serial.messages_sent == parallel.messages_sent &&
+                  serial.messages_delivered == parallel.messages_delivered &&
+                  serial.termination_time == parallel.termination_time &&
+                  serial.decisions.size() == parallel.decisions.size();
+      speedups.push_back(parallel_walls.back() > 0.0
+                             ? serial_walls.back() / parallel_walls.back()
+                             : 0.0);
+      events = serial.events_processed;
+    }
+    const Summary speedup = summarize(speedups);
+    const double serial_seconds = summarize(serial_walls).median;
+    const double parallel_seconds = summarize(parallel_walls).median;
     std::printf("%-12s n=%-5u serial %7.3f s, intra_jobs=%u %7.3f s -> "
-                "%.2fx%s\n",
+                "%.2fx (pairs %.2f-%.2f)%s\n",
                 w.protocol, w.n, serial_seconds, intra_jobs, parallel_seconds,
-                speedup, identical ? "" : "  [RESULTS DIVERGE — bug]");
+                speedup.median, speedup.min, speedup.max,
+                identical ? "" : "  [RESULTS DIVERGE — bug]");
 
     json::Object row;
     row["protocol"] = w.protocol;
     row["n"] = static_cast<std::int64_t>(w.n);
     row["decisions"] = static_cast<std::int64_t>(w.decisions);
-    row["events_processed"] =
-        static_cast<double>(serial.events_processed);
+    row["events_processed"] = static_cast<double>(events);
     row["serial_seconds"] = serial_seconds;
     row["parallel_seconds"] = parallel_seconds;
-    row["speedup"] = speedup;
+    row["speedup"] = speedup.median;
+    row["speedup_min"] = speedup.min;
+    row["speedup_max"] = speedup.max;
     row["identical"] = identical;
     rows.push_back(json::Value{std::move(row)});
   }
   json::Object o;
+  o["hardware_threads"] =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
   o["intra_jobs"] = static_cast<std::int64_t>(intra_jobs);
+  o["pairs"] = static_cast<std::int64_t>(kPairs);
   o["workloads"] = json::Value{std::move(rows)};
   return json::Value{std::move(o)};
 }

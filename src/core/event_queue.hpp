@@ -25,10 +25,11 @@ namespace bftsim {
 /// which timer ids are actually pending, so cancelling a timer that already
 /// fired — or was never scheduled — leaves no tombstone behind; both counts
 /// stay bounded by the number of in-flight timers no matter how long the
-/// run churns (see Controller::cancel_timer).
+/// run churns (see Context::cancel_timer).
 ///
-/// Timer state lives in a flat byte array indexed by TimerId. The
-/// controller assigns ids sequentially from 1, so the array stays dense and
+/// Timer state lives in a flat byte array indexed by TimerId. Each lane of
+/// the controller assigns its timer ids sequentially from 1, so the array
+/// stays dense, grows with timers set (not with events scheduled), and
 /// every state transition is one cache line touch instead of a hash-set
 /// operation on the pop hot path.
 class EventQueue {
@@ -38,11 +39,20 @@ class EventQueue {
   template <typename Body>
   std::uint64_t push(Time at, Body&& body) {
     const std::uint64_t seq = next_seq_++;
+    push_keyed(at, seq, std::forward<Body>(body));
+    return seq;
+  }
+
+  /// Schedules `body` at `at` under a caller-chosen ordering key instead of
+  /// the insertion sequence (the lane engine's per-origin keys). Keys must
+  /// be unique among queued events for the pop order to be a function of
+  /// the keys alone.
+  template <typename Body>
+  void push_keyed(Time at, std::uint64_t key, Body&& body) {
     if constexpr (std::is_same_v<std::decay_t<Body>, TimerFire>) {
       mark_pending(body.timer);
     }
-    heap_.emplace(Event{at, seq, std::forward<Body>(body)});
-    return seq;
+    heap_.emplace(Event{at, key, std::forward<Body>(body)});
   }
 
   /// True when no events remain.
@@ -104,7 +114,8 @@ class EventQueue {
     timer_state_.reserve(expected_events / 4);
   }
 
-  /// Total number of events ever scheduled on this queue.
+  /// Total number of events ever scheduled with push() (keyed pushes draw
+  /// no sequence number).
   [[nodiscard]] std::uint64_t total_scheduled() const noexcept { return next_seq_; }
 
   /// Number of timers currently scheduled and not cancelled (test hook).
@@ -140,10 +151,18 @@ class EventQueue {
     }
   }
 
+  /// (at, seq) order as one 128-bit key (`at` sign-flipped so signed
+  /// times order as unsigned). DaryHeap compares keys held in registers
+  /// when sifting down, which keeps the min-of-children selection free of
+  /// data-dependent branches.
   struct Earlier {
+    __extension__ typedef unsigned __int128 Key;
+    [[nodiscard]] static Key key(const Event& e) noexcept {
+      constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+      return Key{static_cast<std::uint64_t>(e.at) ^ kSign} << 64 | e.seq;
+    }
     [[nodiscard]] bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
+      return key(a) < key(b);
     }
   };
 

@@ -1,7 +1,9 @@
-// The simulation controller's event loop (§III-A1): node/attacker Context
+// The simulation controller's event path (§III-A1): node/attacker Context
 // implementations, the network send path (delay sampling, topology
 // penalties, attacker interception), timer management, the optional
-// per-node CPU cost model, and run-termination bookkeeping.
+// per-node CPU cost model, run-termination bookkeeping, and the serial
+// run loop. The windowed-parallel driver (sim/windowed.cpp) executes the
+// same per-event path on its lanes; see sim/lane.hpp.
 #include "sim/controller.hpp"
 
 #include <algorithm>
@@ -23,54 +25,25 @@ namespace bftsim {
 
 class Controller::NodeCtx final : public Context {
  public:
-  NodeCtx(Controller& c, NodeId id) : c_(c), id_(id) {}
+  NodeCtx(Controller& c, NodeId id, Lane& lane)
+      : c_(c), id_(id), lane_(&lane) {}
 
   NodeId id() const noexcept override { return id_; }
   std::uint32_t n() const noexcept override { return c_.cfg_.n; }
   std::uint32_t f() const noexcept override { return c_.f_; }
   Time lambda() const noexcept override { return c_.lambda_; }
-  Time now() const noexcept override {
-    // Windowed-parallel runs keep one clock per lane; the serial clock is
-    // otherwise authoritative. One predictable branch on the hot path.
-    return c_.win_ != nullptr ? c_.win_->ctx_now(id_) : c_.now_;
-  }
+  Time now() const noexcept override { return lane_->now; }
 
   void send(NodeId dst, PayloadPtr payload) override {
-    if (c_.win_ != nullptr) {
-      c_.win_->ctx_send(id_, dst, std::move(payload));
-      return;
-    }
-    // One signature per send call: the message leaves once the CPU is done.
-    const Time wire_at = c_.charge_cpu(id_, c_.sign_cost_);
-    if (dst == id_) {
-      c_.deliver_self(id_, std::move(payload));
-    } else {
-      c_.network_send(id_, dst, std::move(payload), wire_at - c_.now_);
-    }
+    c_.send(*lane_, id_, dst, std::move(payload));
   }
-
   void broadcast(PayloadPtr payload, bool include_self) override {
-    if (c_.win_ != nullptr) {
-      c_.win_->ctx_broadcast(id_, std::move(payload), include_self);
-      return;
-    }
-    // One signature covers the whole fan-out.
-    const Time wire_at = c_.charge_cpu(id_, c_.sign_cost_);
-    c_.network_broadcast(id_, payload, wire_at - c_.now_);
-    if (include_self) c_.deliver_self(id_, std::move(payload));
+    c_.broadcast(*lane_, id_, std::move(payload), include_self);
   }
-
   TimerId set_timer(Time delay, std::uint64_t tag) override {
-    if (c_.win_ != nullptr) return c_.win_->ctx_set_timer(id_, delay, tag);
-    return c_.set_timer(TimerOwner::kNode, id_, delay, tag);
+    return c_.set_timer(*lane_, TimerOwner::kNode, id_, delay, tag);
   }
-  void cancel_timer(TimerId id) override {
-    if (c_.win_ != nullptr) {
-      c_.win_->ctx_cancel_timer(id_, id);
-      return;
-    }
-    c_.cancel_timer(id);
-  }
+  void cancel_timer(TimerId id) override { lane_->queue.cancel_timer(id); }
 
   ProposalBatch next_proposal(std::uint64_t slot, Value fresh) override {
     // on_propose touches only this node's arrival stream (client
@@ -80,31 +53,29 @@ class Controller::NodeCtx final : public Context {
   }
 
   void report_decision(Value value) override {
-    if (c_.win_ != nullptr) {
-      c_.win_->ctx_report_decision(id_, value);
-      return;
-    }
-    c_.report_decision(id_, value);
+    c_.report_decision(*lane_, id_, value);
   }
-  void record_view(View view) override {
-    if (c_.win_ != nullptr) {
-      c_.win_->ctx_record_view(id_, view);
-      return;
-    }
-    c_.record_view(id_, view);
-  }
+  void record_view(View view) override { c_.record_view(*lane_, id_, view); }
 
   Rng& rng() noexcept override { return c_.node_rngs_[id_]; }
   const Vrf& vrf() const noexcept override { return c_.vrf_; }
   const Signer& signer() const noexcept override { return c_.signer_; }
-  Arena& arena() noexcept override {
-    return c_.win_ != nullptr ? c_.win_->ctx_arena(id_) : c_.arena_;
-  }
+  Arena& arena() noexcept override { return *lane_->arena; }
+
+  [[nodiscard]] Lane& lane() const noexcept { return *lane_; }
+  void bind(Lane& lane) noexcept { lane_ = &lane; }
 
  private:
   Controller& c_;
   NodeId id_;
+  Lane* lane_;
 };
+
+// Hot on every delivery and cross-lane send; defined before its uses so it
+// inlines (only this file calls it).
+inline Lane& Controller::lane_for(NodeId id) noexcept {
+  return id < ctxs_.size() ? ctxs_[id].lane() : *lanes_.front();
+}
 
 class Controller::AtkCtx final : public AttackerContext {
  public:
@@ -112,7 +83,7 @@ class Controller::AtkCtx final : public AttackerContext {
 
   std::uint32_t n() const noexcept override { return c_.cfg_.n; }
   std::uint32_t f() const noexcept override { return c_.f_; }
-  Time now() const noexcept override { return c_.now_; }
+  Time now() const noexcept override { return c_.now(); }
 
   void inject(Message msg, Time delay) override {
     c_.inject_message(std::move(msg), delay);
@@ -141,7 +112,8 @@ class Controller::AtkCtx final : public AttackerContext {
   }
 
   TimerId set_timer(Time delay, std::uint64_t tag) override {
-    return c_.set_timer(TimerOwner::kAttacker, kNoNode, delay, tag);
+    return c_.set_timer(*c_.lanes_.front(), TimerOwner::kAttacker, kNoNode,
+                        delay, tag);
   }
 
   Rng& rng() noexcept override { return c_.atk_rng_; }
@@ -192,13 +164,19 @@ Controller::Controller(SimConfig cfg)
   }
   std::sort(failstopped_.begin(), failstopped_.end());
 
+  // The serial engine's one lane; a windowed run replaces it in run().
+  lanes_.push_back(std::make_unique<Lane>());
+  Lane& serial = *lanes_.front();
+  serial.arena = &arena_;
+  serial.metrics = &metrics_;
+
   nodes_.resize(cfg_.n);
   ctxs_.reserve(cfg_.n);
   node_rngs_.reserve(cfg_.n);
   Rng node_seed = run_rng_.fork(0x6e6f6465);  // "node"
   for (NodeId i = 0; i < cfg_.n; ++i) {
     node_rngs_.push_back(node_seed.fork(i));
-    ctxs_.emplace_back(*this, i);
+    ctxs_.emplace_back(*this, i, serial);
     if (!dead.contains(i)) nodes_[i] = info.create(i, cfg_);
   }
   decided_count_.assign(cfg_.n, 0);
@@ -219,10 +197,10 @@ Controller::Controller(SimConfig cfg)
   // first event; beyond the cap the vector grows geometrically on demand,
   // which changes nothing observable (heap order is capacity-independent).
   constexpr std::size_t kMaxQueueReserve = std::size_t{1} << 18;
-  queue_.reserve(
+  serial.queue.reserve(
       std::min(static_cast<std::size_t>(cfg_.n) * cfg_.n, kMaxQueueReserve) +
       256);
-  if (cost_model_on_) cpu_charged_.reserve(256);
+  if (cost_model_on_) serial.cpu_charged.reserve(256);
 
   attacker_ = make_attacker(cfg_);
   attacker_passive_ = attacker_->is_passive();
@@ -251,8 +229,8 @@ Controller::Controller(SimConfig cfg)
     const auto& timeline = faults_->events();
     for (std::size_t i = 0; i < timeline.size(); ++i) {
       if (timeline[i].at > horizon_) continue;
-      queue_.push(timeline[i].at,
-                  TimerFire{TimerOwner::kFault, kNoNode, next_timer_id_++, i});
+      serial.queue.push(timeline[i].at, TimerFire{TimerOwner::kFault, kNoNode,
+                                                  serial.next_timer_id++, i});
     }
   }
 
@@ -280,76 +258,163 @@ Controller::~Controller() = default;
 // Network module
 // ---------------------------------------------------------------------------
 
-void Controller::network_send(NodeId src, NodeId dst, PayloadPtr payload,
-                              Time extra_delay) {
-  assert(payload != nullptr);
-  const std::uint64_t id = next_msg_id_++;
-  const std::size_t wire = payload->wire_size();
+/// One transmission's payload-level facts, computed once and shared by all
+/// of its copies: the virtual wire_size()/type_id() calls, the trace
+/// fields, the ids and the lazily created shared broadcast envelope.
+struct Controller::Transmission {
+  static constexpr std::uint32_t kNoEnvelope = 0xffffffffu;
 
-  metrics_.on_send();
-  metrics_.on_bytes(wire);
-  const PayloadType tid = payload->type_id();
-  if (tid != PayloadType::kUnknown) {
-    metrics_.count_type(tid);
+  Transmission(const PayloadPtr& p, NodeId source, Time extra_delay,
+               bool traced)
+      : payload(p),
+        src(source),
+        extra(extra_delay),
+        wire(p->wire_size()),
+        tid(p->type_id()) {
+    if (traced) {
+      trace_type = std::string(p->type());
+      trace_digest = p->digest();
+    }
+  }
+
+  const PayloadPtr& payload;
+  NodeId src;  ///< protocol-visible source (a gossip copy's origin)
+  /// Sender-side cost (e.g. signing) already incurred before the message
+  /// reaches the wire.
+  Time extra;
+  std::size_t wire;
+  PayloadType tid;
+  std::string trace_type;
+  std::uint64_t trace_digest = 0;
+  /// Broadcast fan-out: copies share one envelope whose base_id is the id
+  /// the first destination in the loop gets (dropped or not), so
+  /// per-destination ids derive by position exactly as they were drawn.
+  bool fan_out = false;
+  std::uint64_t base_id = 0;
+  std::uint32_t shared_env = kNoEnvelope;
+  std::uint64_t gossip_id = 0;  ///< nonzero for gossip copies
+};
+
+void Controller::send(Lane& ln, NodeId src, NodeId dst, PayloadPtr payload) {
+  assert(payload != nullptr);
+  // One signature per send call: the message leaves once the CPU is done.
+  const Time wire_at = charge_cpu(ln, src, sign_cost_);
+  if (dst == src) {
+    deliver_self(ln, src, std::move(payload));
+    return;
+  }
+  Transmission tx(payload, src, wire_at - ln.now, trace_sink_ != nullptr);
+  send_copy(ln, tx, src, dst);
+}
+
+void Controller::broadcast(Lane& ln, NodeId src, PayloadPtr payload,
+                           bool include_self) {
+  assert(payload != nullptr);
+  // One signature covers the whole fan-out.
+  const Time extra = charge_cpu(ln, src, sign_cost_) - ln.now;
+  Transmission tx(payload, src, extra, trace_sink_ != nullptr);
+  if (wan_ != nullptr && wan_->gossip()) {
+    // Gossip origination: the origin sends to its overlay peers only.
+    tx.gossip_id = next_gossip_id_++;
+    gossip_seen_[src].insert(tx.gossip_id);  // never re-deliver to the origin
+    for (const NodeId peer : wan_->peers_of(src)) send_copy(ln, tx, src, peer);
   } else {
-    metrics_.count_type(std::string(payload->type()));
+    tx.fan_out = true;
+    tx.base_id = next_id(src);
+    for (NodeId dst = 0; dst < cfg_.n; ++dst) {
+      if (dst != src) send_copy(ln, tx, src, dst);
+    }
+  }
+  if (include_self) deliver_self(ln, src, std::move(payload));
+}
+
+void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
+                           NodeId dst) {
+  const std::uint64_t id = draw_id(from);
+  Metrics& metrics = *ln.metrics;
+  metrics.on_send();
+  metrics.on_bytes(tx.wire);
+  if (tx.tid != PayloadType::kUnknown) {
+    metrics.count_type(tx.tid);
+  } else {
+    metrics.count_type(std::string(tx.payload->type()));
   }
   if (trace_sink_) {
-    trace_sink_->on_record(TraceRecord{TraceKind::kSend, now_, src, dst,
-                                       std::string(payload->type()),
-                                       payload->digest(), id, 0, 0});
+    emit(ln, TraceRecord{TraceKind::kSend, ln.now, tx.src, dst, tx.trace_type,
+                         tx.trace_digest, id, 0, 0});
   }
 
   const Time sampled = [&] {
-    BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kDelaySample);
-    const Time draw = delay_sampler_.sample(net_rng_);
+    BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kDelaySample);
+    const Time draw =
+        delay_sampler_.sample(lane_mode_ ? net_rngs_[from] : net_rng_);
     // The WAN matrix adds a pure per-region-pair base on top of the same
     // single draw the classic path makes, so disabled-backend runs keep
-    // net_rng_ bit-aligned with the goldens.
-    return wan_ != nullptr ? draw + wan_->base_delay(src, dst)
-                           : topology_.adjust(draw, src, dst);
+    // the delay streams bit-aligned with the goldens.
+    return wan_ != nullptr ? draw + wan_->base_delay(from, dst)
+                           : topology_.adjust(draw, from, dst);
   }();
   // Link flaps sit below the attacker: the delay is sampled first (keeping
-  // net_rng_ aligned with fault-free runs) and a down link drops the
+  // the streams aligned with fault-free runs) and a down link drops the
   // message before the attacker ever sees it.
   if (faults_ != nullptr && faults_->any_link_down() &&
-      faults_->link_down(src, dst)) {
-    metrics_.on_drop();
+      faults_->link_down(from, dst)) {
+    metrics.on_drop();
     if (trace_sink_) {
-      trace_sink_->on_record(TraceRecord{TraceKind::kDrop, now_, src, dst,
-                                         std::string(payload->type()),
-                                         payload->digest(), id, 0, 0});
+      emit(ln, TraceRecord{TraceKind::kDrop, ln.now, tx.src, dst,
+                           tx.trace_type, tx.trace_digest, id, 0, 0});
     }
     return;
   }
-
-  if (attacker_passive_ && !custom_delivery_hook_) {
-    // Fast path (no attack scenario, no subclass hook): no Message is
-    // materialized — the envelope interns the transmission and the delivery
-    // event carries an 8-byte handle. Bit-identical to the hook path below:
-    // a passive attacker's attack() observes and changes nothing.
-    if (faults_ != nullptr && faults_->maybe_corrupt(now_)) {
-      payload = std::allocate_shared<CorruptedPayload>(
-          ArenaAllocator<CorruptedPayload>(&arena_), std::move(payload));
-      metrics_.on_corrupt();
-    }
-    const std::uint32_t env =
-        env_store_.create(std::move(payload), now_, id, src, false, 1);
-    const Time at =
-        wan_ != nullptr && wan_->bandwidth_enabled()
-            ? wan_->delivery_time(src, dst, wire, now_ + extra_delay, sampled)
-            : now_ + std::max<Time>(extra_delay + sampled, 0);
-    queue_.push(at, MessageDelivery{env, dst});
+  if (!attacker_passive_ || custom_delivery_hook_) {
+    intercept(ln, tx, dst, id, sampled);
     return;
   }
 
+  // Fast path (no attack scenario, no subclass hook): no Message is
+  // materialized — the envelope interns the transmission and the delivery
+  // event carries an 8-byte handle. Bit-identical to the hook path: a
+  // passive attacker's attack() observes and changes nothing.
+  std::uint32_t env;
+  if (faults_ != nullptr &&
+      (lane_mode_ ? faults_->maybe_corrupt_from(ln.now, from)
+                  : faults_->maybe_corrupt(ln.now))) {
+    // A corrupted copy diverges from a shared body: it gets its own
+    // single-delivery envelope carrying the wrapped payload.
+    PayloadPtr wrapped = std::allocate_shared<CorruptedPayload>(
+        ArenaAllocator<CorruptedPayload>(ln.arena), PayloadPtr(tx.payload));
+    metrics.on_corrupt();
+    env = make_env(ln, std::move(wrapped), ln.now, id, tx.src, false, 1);
+  } else if (tx.fan_out) {
+    if (tx.shared_env == Transmission::kNoEnvelope) {
+      tx.shared_env =
+          make_env(ln, tx.payload, ln.now, tx.base_id, tx.src, true, 0);
+    }
+    env = tx.shared_env;
+    ln.store.add_pending(env & Lane::kEnvMask, 1);
+  } else {
+    env = make_env(ln, tx.payload, ln.now, id, tx.src, false, 1);
+  }
+  if (tx.gossip_id != 0) {
+    ln.store.get(env & Lane::kEnvMask).gossip_id = tx.gossip_id;
+  }
+  const Time at =
+      wan_ != nullptr && wan_->bandwidth_enabled()
+          ? wan_->delivery_time(from, dst, tx.wire, ln.now + tx.extra, sampled)
+          : ln.now + std::max<Time>(tx.extra + sampled, 0);
+  enqueue(ln, at, id, MessageDelivery{env, dst});
+}
+
+void Controller::intercept(Lane& ln, const Transmission& tx, NodeId dst,
+                           std::uint64_t id, Time sampled) {
+  Metrics& metrics = *ln.metrics;
   Message msg;
-  msg.src = src;
+  msg.src = tx.src;
   msg.dst = dst;
-  msg.send_time = now_;
+  msg.send_time = ln.now;
   msg.id = id;
-  msg.payload = std::move(payload);
-  MessageInFlight in_flight{std::move(msg), extra_delay + sampled};
+  msg.payload = tx.payload;
+  MessageInFlight in_flight{std::move(msg), tx.extra + sampled};
   // Snapshot the pre-attack state so the attacker's edits are countable by
   // comparison — no per-action instrumentation inside attack() needed.
   // Payloads are immutable (shared_ptr<const Payload>), so replacement and
@@ -359,186 +424,105 @@ void Controller::network_send(NodeId src, NodeId dst, PayloadPtr payload,
   const NodeId original_src = in_flight.msg.src;
   const NodeId original_dst = in_flight.msg.dst;
   const Disposition verdict = [&] {
-    BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kAttackerHook);
+    BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kAttackerHook);
     return attacker_->attack(in_flight, *atk_ctx_);
   }();
   if (verdict == Disposition::kDrop) {
-    metrics_.on_drop();
-    metrics_.on_attacker_drop();
-    if (trace_sink_) {
-      trace_sink_->on_record(
-          TraceRecord{TraceKind::kDrop, now_, in_flight.msg.src,
-                      in_flight.msg.dst,
-                      std::string(in_flight.msg.payload->type()),
-                      in_flight.msg.payload->digest(), in_flight.msg.id, 0, 0});
-    }
+    metrics.on_drop();
+    metrics.on_attacker_drop();
+    trace_message(ln, TraceKind::kDrop, in_flight.msg);
     return;
   }
-  if (in_flight.delay != assigned_delay) metrics_.on_attacker_delay();
+  if (in_flight.delay != assigned_delay) metrics.on_attacker_delay();
   if (in_flight.msg.payload.get() != original_payload ||
       in_flight.msg.src != original_src || in_flight.msg.dst != original_dst) {
-    metrics_.on_attacker_modify();
+    metrics.on_attacker_modify();
   }
-  if (faults_ != nullptr && faults_->maybe_corrupt(now_)) {
+  if (faults_ != nullptr && faults_->maybe_corrupt(ln.now)) {
     in_flight.msg.payload = std::allocate_shared<CorruptedPayload>(
-        ArenaAllocator<CorruptedPayload>(&arena_),
+        ArenaAllocator<CorruptedPayload>(ln.arena),
         std::move(in_flight.msg.payload));
-    metrics_.on_corrupt();
+    metrics.on_corrupt();
   }
   Time final_delay = std::max<Time>(in_flight.delay, 0);
   if (wan_ != nullptr && wan_->bandwidth_enabled()) {
     // Bandwidth queuing applies after the attacker's verdict, on the link
     // the message actually takes (an attacker may have rerouted it).
     final_delay = wan_->delivery_time(in_flight.msg.src, in_flight.msg.dst,
-                                      wire, now_, final_delay) -
-                  now_;
+                                      tx.wire, ln.now, final_delay) -
+                  ln.now;
   }
   schedule_network_delivery(std::move(in_flight.msg), final_delay);
 }
 
-void Controller::network_broadcast(NodeId src, const PayloadPtr& payload,
-                                   Time extra_delay) {
-  assert(payload != nullptr);
-  if (wan_ != nullptr && wan_->gossip()) {
-    gossip_broadcast(src, payload, extra_delay);
+void Controller::deliver_self(Lane& ln, NodeId id, PayloadPtr payload) {
+  // A node's message to itself does not traverse the network or the
+  // attacker and is not counted as a transmitted message; it is scheduled
+  // (rather than dispatched inline) so handlers never re-enter.
+  const std::uint64_t msg_id = draw_id(id);
+  const std::uint32_t env =
+      make_env(ln, std::move(payload), ln.now, msg_id, id, false, 1);
+  enqueue(ln, ln.now, msg_id, MessageDelivery{env, id});
+}
+
+void Controller::enqueue(Lane& ln, Time at, std::uint64_t key,
+                         MessageDelivery d) {
+  if (!lane_mode_) {
+    ln.queue.push(at, d);
     return;
   }
-  // Hoist everything that depends only on the payload out of the fan-out
-  // loop: the virtual wire_size()/type_id() calls, and (when tracing) the
-  // type string and digest. The per-destination sequence — message id,
-  // delay sample, attacker verdict, scheduling — is unchanged, so a run is
-  // bit-identical to one using n-1 network_send calls.
-  const std::size_t wire = payload->wire_size();
-  const PayloadType tid = payload->type_id();
-  const bool tagged = tid != PayloadType::kUnknown;
-  std::string trace_type;
-  std::uint64_t trace_digest = 0;
-  if (trace_sink_) {
-    trace_type = std::string(payload->type());
-    trace_digest = payload->digest();
+  Lane& to = lane_for(d.dst);
+  if (&to == &ln) {
+    ln.queue.push_keyed(at, key, d);
+  } else {
+    ln.outbox[to.id].push_back({at, key, d});
   }
+}
 
-  const bool fast = attacker_passive_ && !custom_delivery_hook_;
-  // The shared fan-out envelope, created lazily at the first scheduled
-  // destination. Its base_id is the id the first destination in the loop
-  // gets (dropped or not), so per-destination ids derive by position
-  // exactly as next_msg_id_++ assigned them.
-  constexpr std::uint32_t kNoEnvelope = 0xffffffffu;
-  std::uint32_t env = kNoEnvelope;
-  const std::uint64_t base_id = next_msg_id_;
-
-  for (NodeId dst = 0; dst < cfg_.n; ++dst) {
-    if (dst == src) continue;
-    const std::uint64_t id = next_msg_id_++;
-
-    metrics_.on_send();
-    metrics_.on_bytes(wire);
-    if (tagged) {
-      metrics_.count_type(tid);
-    } else {
-      metrics_.count_type(std::string(payload->type()));
-    }
-    if (trace_sink_) {
-      trace_sink_->on_record(TraceRecord{TraceKind::kSend, now_, src, dst,
-                                         trace_type, trace_digest, id, 0, 0});
-    }
-
-    const Time sampled = [&] {
-      BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kDelaySample);
-      const Time draw = delay_sampler_.sample(net_rng_);
-      // The WAN matrix adds a pure per-region-pair base on top of the same
-      // single draw the classic path makes, so disabled-backend runs keep
-      // net_rng_ bit-aligned with the goldens.
-      return wan_ != nullptr ? draw + wan_->base_delay(src, dst)
-                             : topology_.adjust(draw, src, dst);
-    }();
-    if (faults_ != nullptr && faults_->any_link_down() &&
-        faults_->link_down(src, dst)) {
-      metrics_.on_drop();
-      if (trace_sink_) {
-        trace_sink_->on_record(TraceRecord{TraceKind::kDrop, now_, src, dst,
-                                           trace_type, trace_digest, id, 0,
-                                           0});
-      }
-      continue;
-    }
-
-    if (fast) {
-      if (faults_ != nullptr && faults_->maybe_corrupt(now_)) {
-        // A corrupted copy diverges from the shared body: it gets its own
-        // single-delivery envelope carrying the wrapped payload.
-        PayloadPtr wrapped = std::allocate_shared<CorruptedPayload>(
-            ArenaAllocator<CorruptedPayload>(&arena_), PayloadPtr(payload));
-        metrics_.on_corrupt();
-        const std::uint32_t solo =
-            env_store_.create(std::move(wrapped), now_, id, src, false, 1);
-        const Time at =
-            wan_ != nullptr && wan_->bandwidth_enabled()
-                ? wan_->delivery_time(src, dst, wire, now_ + extra_delay,
-                                      sampled)
-                : now_ + std::max<Time>(extra_delay + sampled, 0);
-        queue_.push(at, MessageDelivery{solo, dst});
-        continue;
-      }
-      if (env == kNoEnvelope) {
-        env = env_store_.create(payload, now_, base_id, src, true, 0);
-      }
-      env_store_.add_pending(env, 1);
-      const Time at =
-          wan_ != nullptr && wan_->bandwidth_enabled()
-              ? wan_->delivery_time(src, dst, wire, now_ + extra_delay, sampled)
-              : now_ + std::max<Time>(extra_delay + sampled, 0);
-      queue_.push(at, MessageDelivery{env, dst});
-      continue;
-    }
-
-    Message msg;
-    msg.src = src;
-    msg.dst = dst;
-    msg.send_time = now_;
-    msg.id = id;
-    msg.payload = payload;
-    MessageInFlight in_flight{std::move(msg), extra_delay + sampled};
-    const Time assigned_delay = in_flight.delay;
-    const Payload* original_payload = in_flight.msg.payload.get();
-    const NodeId original_src = in_flight.msg.src;
-    const NodeId original_dst = in_flight.msg.dst;
-    const Disposition verdict = [&] {
-      BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kAttackerHook);
-      return attacker_->attack(in_flight, *atk_ctx_);
-    }();
-    if (verdict == Disposition::kDrop) {
-      metrics_.on_drop();
-      metrics_.on_attacker_drop();
-      if (trace_sink_) {
-        trace_sink_->on_record(
-            TraceRecord{TraceKind::kDrop, now_, in_flight.msg.src,
-                        in_flight.msg.dst,
-                        std::string(in_flight.msg.payload->type()),
-                        in_flight.msg.payload->digest(), in_flight.msg.id, 0,
-                        0});
-      }
-      continue;
-    }
-    if (in_flight.delay != assigned_delay) metrics_.on_attacker_delay();
-    if (in_flight.msg.payload.get() != original_payload ||
-        in_flight.msg.src != original_src || in_flight.msg.dst != original_dst) {
-      metrics_.on_attacker_modify();
-    }
-    if (faults_ != nullptr && faults_->maybe_corrupt(now_)) {
-      in_flight.msg.payload = std::allocate_shared<CorruptedPayload>(
-          ArenaAllocator<CorruptedPayload>(&arena_),
-          std::move(in_flight.msg.payload));
-      metrics_.on_corrupt();
-    }
-    Time final_delay = std::max<Time>(in_flight.delay, 0);
-    if (wan_ != nullptr && wan_->bandwidth_enabled()) {
-      final_delay = wan_->delivery_time(in_flight.msg.src, in_flight.msg.dst,
-                                        wire, now_, final_delay) -
-                    now_;
-    }
-    schedule_network_delivery(std::move(in_flight.msg), final_delay);
+void Controller::push_timer(Lane& ln, Time at, std::uint64_t key,
+                            const TimerFire& fire) {
+  if (lane_mode_) {
+    ln.queue.push_keyed(at, key, fire);
+  } else {
+    ln.queue.push(at, fire);
   }
+}
+
+std::uint32_t Controller::make_env(Lane& ln, PayloadPtr payload,
+                                   Time send_time, std::uint64_t base_id,
+                                   NodeId src, bool broadcast,
+                                   std::int32_t remaining) {
+  const std::uint32_t index = ln.store.create(
+      std::move(payload), send_time, base_id, src, broadcast, remaining);
+  return (ln.id << Lane::kEnvShift) | index;
+}
+
+std::uint64_t Controller::next_id(NodeId origin) const noexcept {
+  return lane_mode_ ? origin_key(origin) | key_ctr_[origin] : next_msg_id_;
+}
+
+std::uint64_t Controller::draw_id(NodeId origin) noexcept {
+  return lane_mode_ ? draw_key(origin) : next_msg_id_++;
+}
+
+std::uint64_t Controller::draw_key(NodeId origin) noexcept {
+  assert(origin < key_ctr_.size());
+  return origin_key(origin) | key_ctr_[origin]++;
+}
+
+void Controller::emit(Lane& ln, TraceRecord rec) {
+  if (lane_mode_) {
+    ln.trace.push_back({ln.now, ln.cur_key, std::move(rec)});
+  } else {
+    trace_sink_->on_record(rec);
+  }
+}
+
+void Controller::trace_message(Lane& ln, TraceKind kind, const Message& msg) {
+  if (trace_sink_ == nullptr || msg.payload == nullptr) return;
+  emit(ln, TraceRecord{kind, ln.now, msg.src, msg.dst,
+                       std::string(msg.payload->type()), msg.payload->digest(),
+                       msg.id, 0, 0});
 }
 
 // ---------------------------------------------------------------------------
@@ -553,70 +537,6 @@ void Controller::network_broadcast(NodeId src, const PayloadPtr& payload,
 // and incompatible with attack scenarios (SimConfig::validate) — the
 // envelope fast path is therefore always available here.
 
-void Controller::gossip_broadcast(NodeId origin, const PayloadPtr& payload,
-                                  Time extra_delay) {
-  const std::uint64_t gid = next_gossip_id_++;
-  gossip_seen_[origin].insert(gid);  // never re-deliver to the origin
-  for (const NodeId peer : wan_->peers_of(origin)) {
-    gossip_send_copy(origin, peer, origin, payload, gid, extra_delay);
-  }
-}
-
-void Controller::gossip_send_copy(NodeId relayer, NodeId peer, NodeId origin,
-                                  const PayloadPtr& payload, std::uint64_t gid,
-                                  Time extra_delay) {
-  const std::uint64_t id = next_msg_id_++;
-  const std::size_t wire = payload->wire_size();
-
-  metrics_.on_send();
-  metrics_.on_bytes(wire);
-  const PayloadType tid = payload->type_id();
-  if (tid != PayloadType::kUnknown) {
-    metrics_.count_type(tid);
-  } else {
-    metrics_.count_type(std::string(payload->type()));
-  }
-  if (trace_sink_) {
-    // The trace keeps the protocol-level source (the origin) so Send and
-    // Deliver records pair up by message id like on the classic path; the
-    // physical relayer shows up in the gossip counters instead.
-    trace_sink_->on_record(TraceRecord{TraceKind::kSend, now_, origin, peer,
-                                       std::string(payload->type()),
-                                       payload->digest(), id, 0, 0});
-  }
-
-  const Time sampled = [&] {
-    BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kDelaySample);
-    return delay_sampler_.sample(net_rng_) + wan_->base_delay(relayer, peer);
-  }();
-  if (faults_ != nullptr && faults_->any_link_down() &&
-      faults_->link_down(relayer, peer)) {
-    metrics_.on_drop();
-    if (trace_sink_) {
-      trace_sink_->on_record(TraceRecord{TraceKind::kDrop, now_, origin, peer,
-                                         std::string(payload->type()),
-                                         payload->digest(), id, 0, 0});
-    }
-    return;
-  }
-
-  PayloadPtr body = payload;
-  if (faults_ != nullptr && faults_->maybe_corrupt(now_)) {
-    body = std::allocate_shared<CorruptedPayload>(
-        ArenaAllocator<CorruptedPayload>(&arena_), std::move(body));
-    metrics_.on_corrupt();
-  }
-  const std::uint32_t env =
-      env_store_.create(std::move(body), now_, id, origin, false, 1);
-  env_store_.get(env).gossip_id = gid;
-  const Time at =
-      wan_->bandwidth_enabled()
-          ? wan_->delivery_time(relayer, peer, wire, now_ + extra_delay,
-                                sampled)
-          : now_ + std::max<Time>(extra_delay + sampled, 0);
-  queue_.push(at, MessageDelivery{env, peer});
-}
-
 void Controller::gossip_deliver(const Message& msg, std::uint64_t gid) {
   // Fail-stopped / crashed destinations drop the copy exactly like the
   // classic path — without marking it seen, so a copy arriving after a
@@ -626,90 +546,70 @@ void Controller::gossip_deliver(const Message& msg, std::uint64_t gid) {
     deliver_now(msg);
     return;
   }
+  Lane& ln = lane_for(msg.dst);
   if (!gossip_seen_[msg.dst].insert(gid).second) {
-    metrics_.on_drop();
-    metrics_.on_gossip_duplicate();
-    if (trace_sink_ != nullptr && msg.payload != nullptr) {
-      trace_sink_->on_record(TraceRecord{TraceKind::kDrop, now_, msg.src,
-                                         msg.dst,
-                                         std::string(msg.payload->type()),
-                                         msg.payload->digest(), msg.id, 0, 0});
-    }
+    ln.metrics->on_drop();
+    ln.metrics->on_gossip_duplicate();
+    trace_message(ln, TraceKind::kDrop, msg);
     return;
   }
   // First accepted copy: relay before local processing, so the CPU cost
   // model (which can defer on_message) never slows dissemination down.
   // Relaying forwards the bytes as received — including a fault-corrupted
   // wrapper — and skips the origin, which has the payload by definition.
+  // The trace keeps the origin as the source so Send and Deliver records
+  // pair up by message id; the relayer shows up in the gossip counters.
   if (msg.payload != nullptr) {
+    Transmission tx(msg.payload, msg.src, 0, trace_sink_ != nullptr);
+    tx.gossip_id = gid;
     for (const NodeId peer : wan_->peers_of(msg.dst)) {
       if (peer == msg.src) continue;
-      metrics_.on_gossip_relay();
-      gossip_send_copy(msg.dst, peer, msg.src, msg.payload, gid, 0);
+      ln.metrics->on_gossip_relay();
+      send_copy(ln, tx, msg.dst, peer);
     }
   }
   deliver_now(msg);
 }
 
 void Controller::schedule_network_delivery(Message msg, Time delay) {
-  const std::uint32_t env = env_store_.create(
-      std::move(msg.payload), msg.send_time, msg.id, msg.src, false, 1);
-  queue_.push(now_ + delay, MessageDelivery{env, msg.dst});
+  schedule_message_at(std::move(msg), now() + delay);
 }
 
 void Controller::schedule_message_at(Message msg, Time at) {
-  const std::uint32_t env = env_store_.create(
-      std::move(msg.payload), msg.send_time, msg.id, msg.src, false, 1);
-  queue_.push(std::max(at, now_), MessageDelivery{env, msg.dst});
-}
-
-void Controller::deliver_self(NodeId id, PayloadPtr payload) {
-  // A node's message to itself does not traverse the network or the
-  // attacker and is not counted as a transmitted message; it is scheduled
-  // (rather than dispatched inline) so handlers never re-enter.
-  const std::uint64_t msg_id = next_msg_id_++;
-  const std::uint32_t env =
-      env_store_.create(std::move(payload), now_, msg_id, id, false, 1);
-  queue_.push(now_, MessageDelivery{env, id});
+  Lane& ln = *lanes_.front();
+  const std::uint32_t env = make_env(ln, std::move(msg.payload), msg.send_time,
+                                     msg.id, msg.src, false, 1);
+  ln.queue.push(std::max(at, ln.now), MessageDelivery{env, msg.dst});
 }
 
 void Controller::inject_message(Message msg, Time delay) {
+  Lane& ln = *lanes_.front();
   msg.id = next_msg_id_++;
-  msg.send_time = now_;
-  metrics_.on_inject();
-  if (trace_sink_ != nullptr && msg.payload != nullptr) {
-    trace_sink_->on_record(TraceRecord{TraceKind::kSend, now_, msg.src,
-                                       msg.dst, std::string(msg.payload->type()),
-                                       msg.payload->digest(), msg.id, 0, 0});
-  }
-  const std::uint32_t env = env_store_.create(
-      std::move(msg.payload), msg.send_time, msg.id, msg.src, false, 1);
-  queue_.push(now_ + std::max<Time>(delay, 0), MessageDelivery{env, msg.dst});
+  msg.send_time = ln.now;
+  ln.metrics->on_inject();
+  trace_message(ln, TraceKind::kSend, msg);
+  schedule_message_at(std::move(msg), ln.now + delay);
 }
 
-Time Controller::charge_cpu(NodeId node, Time cost) {
-  if (node >= cpu_free_.size()) return now_;
-  if (cost <= 0) return std::max(cpu_free_[node], now_);
-  cpu_free_[node] = std::max(cpu_free_[node], now_) + cost;
+Time Controller::charge_cpu(const Lane& ln, NodeId node, Time cost) {
+  if (node >= cpu_free_.size()) return ln.now;
+  if (cost <= 0) return std::max(cpu_free_[node], ln.now);
+  cpu_free_[node] = std::max(cpu_free_[node], ln.now) + cost;
   return cpu_free_[node];
 }
 
 void Controller::deliver_now(const Message& msg) {
+  Lane& ln = lane_for(msg.dst);
   if (!is_live(msg.dst)) {
-    metrics_.on_drop();
+    ln.metrics->on_drop();
     return;
   }
   // A crashed node drops everything that arrives during its outage window
   // (it will resync via the protocol's own catch-up paths after recovery).
   if (faults_ != nullptr && faults_->is_crashed(msg.dst)) {
-    metrics_.on_drop();
-    if (cost_model_on_) cpu_charged_.erase(msg.id);
-    if (trace_sink_ != nullptr && msg.payload != nullptr) {
-      trace_sink_->on_record(TraceRecord{TraceKind::kDrop, now_, msg.src,
-                                         msg.dst,
-                                         std::string(msg.payload->type()),
-                                         msg.payload->digest(), msg.id, 0, 0});
-    }
+    ln.metrics->on_drop();
+    if (cost_model_on_) ln.cpu_charged.erase(msg.id);
+    trace_message(ln, TraceKind::kDrop, msg);
     return;
   }
   // Computation-cost model: verifying a network message occupies the
@@ -717,24 +617,27 @@ void Controller::deliver_now(const Message& msg) {
   // processing of new arrivals — messages queue behind each other, which
   // is what makes throughput saturate. Self-deliveries are internal and
   // free.
-  if (cost_model_on_ && msg.src != msg.dst && !cpu_charged_.contains(msg.id)) {
-    cpu_charged_.insert(msg.id);
-    charge_cpu(msg.dst, verify_cost_);
-    if (cpu_free_[msg.dst] > now_) {
-      schedule_message_at(msg, cpu_free_[msg.dst]);  // redeliver when free
+  if (cost_model_on_ && msg.src != msg.dst &&
+      !ln.cpu_charged.contains(msg.id)) {
+    ln.cpu_charged.insert(msg.id);
+    const Time free_at = charge_cpu(ln, msg.dst, verify_cost_);
+    if (free_at > ln.now) {
+      // Redeliver when the CPU frees up. The re-interned envelope keeps
+      // the original message identity; on the lane engine the fresh key
+      // comes from the destination's counter, whose state is
+      // lane-count-invariant.
+      const std::uint32_t env = make_env(ln, msg.payload, msg.send_time,
+                                         msg.id, msg.src, false, 1);
+      enqueue(ln, free_at, lane_mode_ ? draw_key(msg.dst) : 0,
+              MessageDelivery{env, msg.dst});
       return;
     }
   }
-  cpu_charged_.erase(msg.id);
-  if (msg.src != msg.dst) metrics_.on_deliver();  // self-delivery is free
-  if (trace_sink_ != nullptr && msg.payload != nullptr) {
-    trace_sink_->on_record(TraceRecord{TraceKind::kDeliver, now_, msg.src,
-                                       msg.dst,
-                                       std::string(msg.payload->type()),
-                                       msg.payload->digest(), msg.id, 0, 0});
-  }
+  if (cost_model_on_) ln.cpu_charged.erase(msg.id);
+  if (msg.src != msg.dst) ln.metrics->on_deliver();  // self-delivery is free
+  trace_message(ln, TraceKind::kDeliver, msg);
   if (is_corrupt(msg.dst)) return;  // attacker swallows its nodes' input
-  BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kOnMessage);
+  BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kOnMessage);
   nodes_[msg.dst]->on_message(msg, ctxs_[msg.dst]);
 }
 
@@ -742,46 +645,62 @@ void Controller::deliver_now(const Message& msg) {
 // Timers
 // ---------------------------------------------------------------------------
 
-TimerId Controller::set_timer(TimerOwner owner, NodeId node, Time delay,
-                              std::uint64_t tag) {
+TimerId Controller::set_timer(Lane& ln, TimerOwner owner, NodeId node,
+                              Time delay, std::uint64_t tag) {
   // Clock skew/drift distorts the node's view of how long `delay` is.
   if (faults_ != nullptr && owner == TimerOwner::kNode) {
     delay = faults_->adjust_timer_delay(node, delay);
   }
-  const TimerId id = next_timer_id_++;
-  queue_.push(now_ + std::max<Time>(delay, 0), TimerFire{owner, node, id, tag});
-  return id;
+  const TimerFire fire{owner, node, ln.next_timer_id++, tag};
+  push_timer(ln, ln.now + std::max<Time>(delay, 0),
+             lane_mode_ ? draw_key(node) : 0, fire);
+  return fire.timer;
 }
 
-void Controller::cancel_timer(TimerId id) { queue_.cancel_timer(id); }
-
 void Controller::schedule_system_event(Time at, std::uint64_t tag) {
-  queue_.push(std::max(at, now_),
-              TimerFire{TimerOwner::kSystem, kNoNode, next_timer_id_++, tag});
+  Lane& ln = *lanes_.front();
+  ln.queue.push(std::max(at, ln.now), TimerFire{TimerOwner::kSystem, kNoNode,
+                                                ln.next_timer_id++, tag});
 }
 
 // ---------------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------------
 
-void Controller::report_decision(NodeId node, Value value) {
-  const std::uint64_t height = decided_count_[node]++;
-  if (workload_ != nullptr) workload_->on_decide(value, now_);
-  metrics_.on_decision(Decision{node, now_, height, value});
-  if (trace_sink_) {
-    trace_sink_->on_record(TraceRecord{TraceKind::kDecide, now_, node, kNoNode,
-                                       {}, 0, 0, height, value});
+void Controller::report_decision(Lane& ln, NodeId node, Value value) {
+  const Decision d{node, ln.now, decided_count_[node]++, value};
+  if (lane_mode_) {
+    ln.decisions.push_back({ln.now, ln.cur_key, d});
+  } else {
+    settle_decision(d);
   }
-  BFTSIM_LOG(kDebug, "node " << node << " decided height " << height
-                             << " value " << value << " at " << to_ms(now_) << "ms");
-  check_termination();
+  if (trace_sink_) {
+    emit(ln, TraceRecord{TraceKind::kDecide, ln.now, node, kNoNode, {}, 0, 0,
+                         d.height, value});
+  }
+  if (!lane_mode_) check_termination();
 }
 
-void Controller::record_view(NodeId node, View view) {
-  if (cfg_.record_views) metrics_.on_view(ViewRecord{node, now_, view});
+void Controller::settle_decision(const Decision& d) {
+  if (workload_ != nullptr) workload_->on_decide(d.value, d.at);
+  metrics_.on_decision(d);
+  BFTSIM_LOG(kDebug, "node " << d.node << " decided height " << d.height
+                             << " value " << d.value << " at " << to_ms(d.at)
+                             << "ms");
+}
+
+void Controller::record_view(Lane& ln, NodeId node, View view) {
+  if (cfg_.record_views) {
+    const ViewRecord record{node, ln.now, view};
+    if (lane_mode_) {
+      ln.views.push_back({ln.now, ln.cur_key, record});
+    } else {
+      metrics_.on_view(record);
+    }
+  }
   if (trace_sink_) {
-    trace_sink_->on_record(TraceRecord{TraceKind::kViewChange, now_, node,
-                                       kNoNode, {}, 0, 0, view, 0});
+    emit(ln, TraceRecord{TraceKind::kViewChange, ln.now, node, kNoNode, {}, 0,
+                         0, view, 0});
   }
   if (!current_view_.empty() && node < current_view_.size()) {
     current_view_[node] = view;
@@ -795,10 +714,11 @@ bool Controller::corrupt(NodeId node) {
   corrupt_flags_[node] = 1;
   corrupted_order_.push_back(node);
   if (trace_sink_) {
-    trace_sink_->on_record(
-        TraceRecord{TraceKind::kCorrupt, now_, node, kNoNode, {}, 0, 0, 0, 0});
+    emit(*lanes_.front(), TraceRecord{TraceKind::kCorrupt, now(), node,
+                                      kNoNode, {}, 0, 0, 0, 0});
   }
-  BFTSIM_LOG(kInfo, "attacker corrupted node " << node << " at " << to_ms(now_) << "ms");
+  BFTSIM_LOG(kInfo, "attacker corrupted node " << node << " at "
+                                               << to_ms(now()) << "ms");
   check_termination();
   return true;
 }
@@ -810,16 +730,27 @@ void Controller::check_termination() {
     if (decided_count_[i] < cfg_.decisions) return;
   }
   stopped_ = true;
-  termination_time_ = now_;
+  termination_time_ = now();
 }
 
 bool Controller::is_live(NodeId id) const noexcept {
   return id < cfg_.n && nodes_[id] != nullptr;
 }
 
-Context& Controller::node_ctx(NodeId id) noexcept { return ctxs_[id]; }
+void Controller::bind_lane(NodeId id, Lane& lane) noexcept {
+  ctxs_[id].bind(lane);
+}
 
-AttackerContext& Controller::attacker_ctx() noexcept { return *atk_ctx_; }
+void Controller::start() {
+  attacker_->on_start(*atk_ctx_);
+  for (NodeId i = 0; i < cfg_.n; ++i) {
+    if (!is_live(i)) continue;
+    // Lane mode: on-start products carry the node's base key, so the
+    // first barrier merges them in node order.
+    lane_for(i).cur_key = origin_key(i);
+    nodes_[i]->on_start(ctxs_[i]);
+  }
+}
 
 bool Controller::is_honest(NodeId id) const noexcept {
   return is_live(id) && !is_corrupt(id);
@@ -829,42 +760,52 @@ bool Controller::is_honest(NodeId id) const noexcept {
 // Run loop
 // ---------------------------------------------------------------------------
 
-void Controller::dispatch(Event& ev) {
+void Controller::dispatch(Lane& ln, Event& ev) {
+  ln.cur_key = ev.seq;
   if (const auto* delivery = std::get_if<MessageDelivery>(&ev.body)) {
-    const std::uint64_t gid = env_store_.get(delivery->env).gossip_id;
-    const Message msg = env_store_.materialize(delivery->env, delivery->dst);
+    // The handle names the lane whose store interned the transmission.
+    const std::uint32_t owner = delivery->env >> Lane::kEnvShift;
+    const std::uint32_t index = delivery->env & Lane::kEnvMask;
+    EnvelopeStore& store = lanes_[owner]->store;
+    const std::uint64_t gid = store.get(index).gossip_id;
+    const Message msg = store.materialize(index, delivery->dst);
     if (gid != 0) {
       gossip_deliver(msg, gid);
     } else {
       deliver_now(msg);
     }
-    env_store_.release(delivery->env);
+    if (owner == ln.id) {
+      store.release(index);
+    } else if (store.release_remote(index)) {
+      ln.retired.push_back(delivery->env);
+    }
     return;
   }
-  auto& fire = std::get<TimerFire>(ev.body);
-  if (queue_.consume_cancellation(fire.timer)) return;
+  const auto& fire = std::get<TimerFire>(ev.body);
+  if (ln.queue.consume_cancellation(fire.timer)) return;
   // A crashed node's timers are suspended, not lost: the fire is deferred
-  // to the recovery instant (the kRecover fault timer carries an earlier
-  // sequence number, so at that tie the node is already back up). Dropping
-  // them instead could leave a recovered node with no pending timers — a
-  // guaranteed deadlock.
+  // to the recovery instant. On the serial engine the kRecover fault timer
+  // carries an earlier sequence number, so at that tie the node is already
+  // back up; on the lane engine the recovery lands at a window barrier
+  // before that instant's window executes, and the fire keeps its key.
+  // Dropping them instead could leave a recovered node with no pending
+  // timers — a guaranteed deadlock.
   if (faults_ != nullptr && fire.owner == TimerOwner::kNode &&
       faults_->is_crashed(fire.node)) {
-    queue_.push(faults_->recovery_time(fire.node),
-                TimerFire{fire.owner, fire.node, fire.timer, fire.tag});
+    push_timer(ln, faults_->recovery_time(fire.node), ev.seq, fire);
     return;
   }
-  metrics_.on_timer();
-  const TimerEvent te{fire.timer, fire.tag, now_};
+  ln.metrics->on_timer();
+  const TimerEvent te{fire.timer, fire.tag, ln.now};
   switch (fire.owner) {
     case TimerOwner::kNode:
       if (is_live(fire.node) && !is_corrupt(fire.node)) {
-        BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kOnTimer);
+        BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kOnTimer);
         nodes_[fire.node]->on_timer(te, ctxs_[fire.node]);
       }
       break;
     case TimerOwner::kAttacker: {
-      BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kAttackerHook);
+      BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kAttackerHook);
       attacker_->on_timer(te, *atk_ctx_);
       break;
     }
@@ -872,7 +813,7 @@ void Controller::dispatch(Event& ev) {
       on_system_event(fire.tag);
       break;
     case TimerOwner::kFault: {
-      BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kFaultHook);
+      BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kFaultHook);
       faults_->apply(fire.tag);
       break;
     }
@@ -903,6 +844,15 @@ RunResult Controller::run() {
     const bool workload_serial =
         workload_ != nullptr && workload_->serial_only();
     if (attacker_passive_ && !workload_serial) {
+      // The lane mode. Ordering keys and message ids come from per-origin
+      // counters, and delay sampling and corruption coins draw from one
+      // stream per sending node, forked off the shared streams in node
+      // order (a function of the seed alone, never of the lane count).
+      lane_mode_ = true;
+      key_ctr_.assign(cfg_.n, 0);
+      net_rngs_.reserve(cfg_.n);
+      for (NodeId i = 0; i < cfg_.n; ++i) net_rngs_.push_back(net_rng_.fork(i));
+      if (faults_ != nullptr) faults_->fork_corruption_streams(cfg_.n);
       win_ = std::make_unique<WindowedEngine>(*this);
       return win_->run();
     }
@@ -912,39 +862,35 @@ RunResult Controller::run() {
     // refusing the config (which would kill whole sweeps that set a global
     // engine.intra_jobs), deterministically fall back to the serial engine
     // for this run and record the decision.
+    const std::string what = attacker_passive_
+                                 ? std::string("closed-loop workload")
+                                 : "attack \"" + cfg_.attack + "\"";
     warnings_.push_back(RunWarning{
         "engine-serial-fallback",
-        attacker_passive_
-            ? "closed-loop workload is serial-only: engine.intra_jobs=" +
-                  std::to_string(cfg_.engine.intra_jobs) +
-                  " ignored, run executed on the serial engine"
-            : "attack \"" + cfg_.attack +
-                  "\" is serial-only: engine.intra_jobs=" +
-                  std::to_string(cfg_.engine.intra_jobs) +
-                  " ignored, run executed on the serial engine"});
+        what + " is serial-only: engine.intra_jobs=" +
+            std::to_string(cfg_.engine.intra_jobs) +
+            " ignored, run executed on the serial engine"});
   }
 
-  attacker_->on_start(*atk_ctx_);
-  for (NodeId i = 0; i < cfg_.n; ++i) {
-    if (is_live(i)) nodes_[i]->on_start(ctxs_[i]);
-  }
+  start();
   check_termination();  // degenerate configs (decisions == 0 is rejected)
 
+  Lane& ln = *lanes_.front();
   TerminationReason reason = TerminationReason::kQueueDrained;
-  while (!stopped_ && !queue_.empty()) {
+  while (!stopped_ && !ln.queue.empty()) {
     Event ev = [&] {
-      BFTSIM_PROFILE_SCOPE(profile_, obs::ProfileComponent::kEventPop);
-      return queue_.pop();
+      BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kEventPop);
+      return ln.queue.pop();
     }();
     if (ev.at > horizon_) {
-      now_ = horizon_;
+      ln.now = horizon_;
       reason = TerminationReason::kHorizon;
       break;
     }
-    now_ = ev.at;
+    ln.now = ev.at;
     // Timeline sampling: reads engine counters only (no events, no RNG), so
     // a sampled run stays bit-identical to an unsampled one.
-    if (timeline_ != nullptr && now_ >= timeline_->next_sample_at()) {
+    if (timeline_ != nullptr && ln.now >= timeline_->next_sample_at()) {
       sample_timeline(/*final_sample=*/false);
     }
     metrics_.on_event();
@@ -952,7 +898,7 @@ RunResult Controller::run() {
       reason = TerminationReason::kEventBudget;
       break;
     }
-    dispatch(ev);
+    dispatch(ln, ev);
   }
   if (stopped_) reason = TerminationReason::kDecided;
   return make_result(reason);
@@ -1004,17 +950,18 @@ RunResult Controller::make_result(TerminationReason reason) {
     result.timeline = timeline_->samples();
     result.timeline_tick = timeline_->tick();
   }
-  result.profile = profile_;
+  for (const auto& ln : lanes_) result.profile.merge(ln->profile);
   return result;
 }
 
 void Controller::sample_timeline(bool final_sample) {
-  const std::size_t depth = queue_.size();
-  const std::size_t timers = queue_.pending_timer_count();
-  const std::size_t tombstones = queue_.tombstone_count();
+  const EventQueue& queue = lanes_.front()->queue;
+  const std::size_t depth = queue.size();
+  const std::size_t timers = queue.pending_timer_count();
+  const std::size_t tombstones = queue.tombstone_count();
 
   obs::TimelineSample s;
-  s.at = now_;
+  s.at = now();
   s.events_processed = metrics_.events_processed();
   s.queue_depth = depth;
   s.in_flight_messages = depth - timers - tombstones;  // exact: see EventQueue

@@ -12,20 +12,18 @@
 #include "attacker/attacker.hpp"
 #include "core/arena.hpp"
 #include "core/config.hpp"
-#include "core/event_queue.hpp"
 #include "core/metrics.hpp"
 #include "core/rng.hpp"
 #include "core/trace.hpp"
 #include "crypto/signature.hpp"
 #include "crypto/vrf.hpp"
 #include "net/delay_model.hpp"
-#include "net/envelope.hpp"
 #include "net/topology.hpp"
 #include "net/wan/wan_model.hpp"
-#include "obs/profile.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_sink.hpp"
 #include "protocols/node.hpp"
+#include "sim/lane.hpp"
 #include "sim/result.hpp"
 
 namespace bftsim {
@@ -74,10 +72,7 @@ class Controller {
   /// Schedules a system event (owner kSystem) at absolute time `at`.
   void schedule_system_event(Time at, std::uint64_t tag);
 
-  [[nodiscard]] Time now() const noexcept { return now_; }
-  [[nodiscard]] Metrics& metrics() noexcept { return metrics_; }
-  [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
-  [[nodiscard]] Rng& net_rng() noexcept { return net_rng_; }
+  [[nodiscard]] Time now() const noexcept { return lanes_.front()->now; }
 
   /// Final-delivery step shared with subclasses: counts, traces and hands
   /// the message to its destination node (if live and honest).
@@ -86,51 +81,75 @@ class Controller {
  private:
   class NodeCtx;
   class AtkCtx;
+  struct Transmission;
 
   // --- network module -------------------------------------------------------
-  /// `extra_delay` models sender-side cost (e.g. signing) already incurred
-  /// before the message reaches the wire.
-  void network_send(NodeId src, NodeId dst, PayloadPtr payload,
-                    Time extra_delay = 0);
-  /// Fan-out path for Context::broadcast: sends `payload` to every node but
-  /// `src`, hoisting the per-payload work (wire size, tag, trace fields)
-  /// out of the per-destination loop. Observable behavior is identical to
-  /// n-1 network_send calls in destination order.
-  void network_broadcast(NodeId src, const PayloadPtr& payload, Time extra_delay);
-  void deliver_self(NodeId id, PayloadPtr payload);
+  // One event path serves both engines: every method below runs against
+  // the lane executing the current event, and the run's mode (lane_mode_)
+  // picks the ordering key, the random streams and where products go.
+  void send(Lane& ln, NodeId src, NodeId dst, PayloadPtr payload);
+  void broadcast(Lane& ln, NodeId src, PayloadPtr payload, bool include_self);
+  /// The per-destination send sequence shared by unicast, broadcast
+  /// fan-out and gossip copies: message id, Send trace, delay draw plus
+  /// topology/WAN base, link-down drop, then either the attacker/delivery
+  /// hook or corruption wrap, envelope and scheduling. `from` is the
+  /// physical sender (a gossip relayer); tx.src the protocol-visible one.
+  void send_copy(Lane& ln, Transmission& tx, NodeId from, NodeId dst);
+  /// The attacker verdict and delivery hook for one copy (serial engine:
+  /// attacked runs and subclassed delivery never take the lane mode).
+  void intercept(Lane& ln, const Transmission& tx, NodeId dst,
+                 std::uint64_t id, Time sampled);
+  void deliver_self(Lane& ln, NodeId id, PayloadPtr payload);
   void inject_message(Message msg, Time delay);
+  /// Schedules a delivery: by insertion order on the serial engine, by
+  /// `key` on the lane engine (via the outbox when `d.dst` lives on
+  /// another lane).
+  void enqueue(Lane& ln, Time at, std::uint64_t key, MessageDelivery d);
+  [[nodiscard]] std::uint32_t make_env(Lane& ln, PayloadPtr payload,
+                                       Time send_time, std::uint64_t base_id,
+                                       NodeId src, bool broadcast,
+                                       std::int32_t remaining);
+  /// Message ids: the global counter on the serial engine, the sender's
+  /// ordering key on the lane engine. next_id() peeks without drawing.
+  [[nodiscard]] std::uint64_t next_id(NodeId origin) const noexcept;
+  [[nodiscard]] std::uint64_t draw_id(NodeId origin) noexcept;
+  /// Lane engine: draws the next ordering key of `origin`.
+  [[nodiscard]] std::uint64_t draw_key(NodeId origin) noexcept;
+  [[nodiscard]] static std::uint64_t origin_key(NodeId origin) noexcept {
+    return (static_cast<std::uint64_t>(origin) + 1) << kOriginShift;
+  }
+  /// Trace emission: straight into the sink on the serial engine, buffered
+  /// per lane (merged at the barrier) on the lane engine.
+  void emit(Lane& ln, TraceRecord rec);
+  /// Emits a `kind` record for `msg` when tracing (and `msg` has a body).
+  void trace_message(Lane& ln, TraceKind kind, const Message& msg);
 
   // --- WAN backend (net/wan/) -------------------------------------------------
-  /// Gossip origination: Context::broadcast under the gossip backend sends
-  /// to the origin's overlay peers instead of all n-1 destinations.
-  void gossip_broadcast(NodeId origin, const PayloadPtr& payload,
-                        Time extra_delay);
-  /// Schedules one gossip copy on the wire from `relayer` to `peer`. The
-  /// envelope keeps `origin` as the protocol-visible source; delays and
-  /// bandwidth are charged to the (relayer, peer) link.
-  void gossip_send_copy(NodeId relayer, NodeId peer, NodeId origin,
-                        const PayloadPtr& payload, std::uint64_t gid,
-                        Time extra_delay);
   /// Duplicate suppression + relay fan-out on gossip arrival, then the
   /// shared deliver_now step.
   void gossip_deliver(const Message& msg, std::uint64_t gid);
 
   // --- timers ---------------------------------------------------------------
-  TimerId set_timer(TimerOwner owner, NodeId node, Time delay, std::uint64_t tag);
-  void cancel_timer(TimerId id);
+  TimerId set_timer(Lane& ln, TimerOwner owner, NodeId node, Time delay,
+                    std::uint64_t tag);
+  /// Queues a timer fire: by insertion order, or under `key` in lane mode.
+  void push_timer(Lane& ln, Time at, std::uint64_t key, const TimerFire& fire);
 
   /// Charges `cost` of CPU time to `node` (computation-cost model).
   /// Returns when the node's CPU becomes free again.
-  Time charge_cpu(NodeId node, Time cost);
+  Time charge_cpu(const Lane& ln, NodeId node, Time cost);
 
   // --- reporting --------------------------------------------------------------
-  void report_decision(NodeId node, Value value);
-  void record_view(NodeId node, View view);
+  void report_decision(Lane& ln, NodeId node, Value value);
+  /// Books one decision into the run's metrics and workload; inline on the
+  /// serial engine, in merged order at the barrier on the lane engine.
+  void settle_decision(const Decision& d);
+  void record_view(Lane& ln, NodeId node, View view);
   bool corrupt(NodeId node);
   void check_termination();
 
   // --- run loop ---------------------------------------------------------------
-  void dispatch(Event& ev);
+  void dispatch(Lane& ln, Event& ev);
   /// Assembles the RunResult from the run's final state; shared by the
   /// serial loop and the windowed-parallel driver.
   RunResult make_result(TerminationReason reason);
@@ -138,17 +157,26 @@ class Controller {
   void sample_timeline(bool final_sample);
   [[nodiscard]] bool is_live(NodeId id) const noexcept;
   [[nodiscard]] bool is_honest(NodeId id) const noexcept;
-  /// Context accessors for the windowed driver (NodeCtx/AtkCtx are
-  /// incomplete types outside controller.cpp; these erase to the bases).
-  [[nodiscard]] Context& node_ctx(NodeId id) noexcept;
-  [[nodiscard]] AttackerContext& attacker_ctx() noexcept;
+  /// The lane executing `id`'s events (lane 0 for ids outside the run).
+  [[nodiscard]] Lane& lane_for(NodeId id) noexcept;
+  /// Moves node `id` onto `lane` (the windowed driver's partition).
+  void bind_lane(NodeId id, Lane& lane) noexcept;
+  /// The start phase of both drivers: attacker and node on_start calls,
+  /// in node order.
+  void start();
   [[nodiscard]] bool is_corrupt(NodeId id) const noexcept {
     return id < corrupt_flags_.size() && corrupt_flags_[id] != 0;
   }
 
+  // Lane-engine ordering keys: (origin + 1) << 40 | per-origin counter.
+  // Origin slot 0 is reserved (nothing queues under it; global artifacts
+  // would sort first at ties). The counter doubles as the message id
+  // space, so ids stay unique and per-origin monotone.
+  static constexpr unsigned kOriginShift = 40;
+
   SimConfig cfg_;
   /// Run-scoped arena backing payload allocations. Declared before every
-  /// member that can hold a PayloadPtr (queue_, nodes_, attacker_, faults_,
+  /// member that can hold a PayloadPtr (lanes_, nodes_, attacker_, faults_,
   /// metrics sinks) so that it is destroyed after all of them — arena-backed
   /// payloads must outlive their last shared_ptr.
   Arena arena_;
@@ -157,21 +185,27 @@ class Controller {
   /// the destruction-order guarantee above extends to lane-allocated
   /// payloads; empty for serial runs.
   std::vector<std::unique_ptr<Arena>> lane_arenas_;
-  /// In-flight transmission state; delivery events carry 8-byte handles
-  /// into this store (see net/envelope.hpp). Declared after the arenas
-  /// (payload pointers release before any arena dies) and before the queue.
-  EnvelopeStore env_store_;
+  /// The event path's lanes: exactly one on the serial engine, one per
+  /// partition on the windowed driver. Each owns an event queue and an
+  /// envelope store holding payload pointers, so they are declared after
+  /// the arenas (payload pointers release before any arena dies).
+  std::vector<std::unique_ptr<Lane>> lanes_;
   std::uint32_t f_ = 0;       ///< protocol fault threshold (= attacker budget)
   Time lambda_ = 0;           ///< cfg.lambda_ms in Time units
   Time horizon_ = 0;          ///< cfg.max_time_ms in Time units
 
-  EventQueue queue_;
-  Time now_ = 0;
   bool stopped_ = false;
   Time termination_time_ = kNoTime;
+  /// The run's mode, chosen once in run(): true when it executes on the
+  /// windowed lane engine (per-origin keys, per-node streams, products
+  /// buffered per lane), false on the serial engine (insertion order,
+  /// shared streams, products written inline).
+  bool lane_mode_ = false;
 
   Rng run_rng_;   ///< master stream (seeds everything else)
   Rng net_rng_;   ///< network delay sampling
+  std::vector<Rng> net_rngs_;  ///< lane mode: one delay stream per sender
+  std::vector<std::uint64_t> key_ctr_;  ///< lane mode: per-origin counters
   Rng atk_rng_;   ///< attacker randomness
   Vrf vrf_;
   Signer signer_;
@@ -208,13 +242,12 @@ class Controller {
   std::vector<std::unordered_set<std::uint64_t>> gossip_seen_;
   std::uint64_t next_gossip_id_ = 1;
 
-  // Computation-cost model state: per-node CPU availability and the set of
-  // deliveries whose verification cost has already been paid.
+  // Computation-cost model state: per-node CPU availability (the set of
+  // deliveries whose verification cost has already been paid is per lane).
   Time verify_cost_ = 0;
   Time sign_cost_ = 0;
   bool cost_model_on_ = false;
   std::vector<Time> cpu_free_;
-  std::unordered_set<std::uint64_t> cpu_charged_;
 
   std::vector<NodeId> failstopped_;
   std::vector<std::uint8_t> corrupt_flags_;  ///< indexed by NodeId; hot-path check
@@ -231,19 +264,16 @@ class Controller {
   /// inline from the run loop — never schedules events or consumes RNG.
   std::unique_ptr<obs::Timeline> timeline_;
   std::vector<View> current_view_;  ///< per-node view, timeline runs only
-  obs::ProfileBreakdown profile_;   ///< populated only under BFTSIM_PROFILING
-  std::uint64_t next_msg_id_ = 1;
-  std::uint64_t next_timer_id_ = 1;
+  std::uint64_t next_msg_id_ = 1;   ///< serial-engine message ids
   bool ran_ = false;
   /// Non-fatal configuration deviations surfaced on the RunResult (e.g.
   /// the serial fallback for attack-carrying windowed configs).
   std::vector<RunWarning> warnings_;
 
   /// Windowed-parallel driver (sim/windowed.cpp); non-null only while a
-  /// windowed run executes. Declared last so it is destroyed first — its
-  /// lane queues and envelope stores hold payload pointers that must
-  /// release before lane_arenas_/arena_ die. The engine needs the same
-  /// deep access to the run state as the member functions above.
+  /// windowed run executes. It holds scheduling state only (the lanes are
+  /// lanes_), but needs the same deep access to the run state as the
+  /// member functions above.
   friend class WindowedEngine;
   std::unique_ptr<WindowedEngine> win_;
 };

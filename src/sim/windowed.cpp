@@ -1,9 +1,7 @@
 // Windowed-parallel run driver. See windowed.hpp for the scheme and the
-// determinism argument; this file mirrors the serial controller paths
-// (network_send / network_broadcast / deliver_now / dispatch) with three
-// systematic substitutions: now_ -> the lane clock, next_msg_id_ /
-// next_timer_id_ -> per-origin key counters, and direct metric / trace /
-// decision emission -> per-lane buffers merged at window barriers.
+// determinism argument. Only scheduling lives here: the lane partition,
+// the window/barrier loop, fault transitions and the product merge. Every
+// event runs through the controller's one per-event path.
 #include "sim/windowed.hpp"
 
 #include <algorithm>
@@ -19,11 +17,25 @@ namespace bftsim {
 
 namespace {
 
-// Timer-ledger states, per (node, key counter): the same lazy-deletion
-// scheme as EventQueue's ledger, but per node so lanes never share it.
-constexpr std::uint8_t kIdle = 0;
-constexpr std::uint8_t kPending = 1;
-constexpr std::uint8_t kCancelled = 2;
+/// Moves every lane's `products` into one buffer in (at, key) order. Equal
+/// (at, key) pairs only occur within one lane's buffer (a key names one
+/// dispatch of one node), so the stable sort keeps emission order and the
+/// result is lane-count-invariant.
+template <typename T>
+std::vector<Keyed<T>> merged(std::vector<std::unique_ptr<Lane>>& lanes,
+                             std::vector<Keyed<T>> Lane::*products) {
+  std::vector<Keyed<T>> all;
+  for (auto& lp : lanes) {
+    auto& buffer = (*lp).*products;
+    all.insert(all.end(), std::make_move_iterator(buffer.begin()),
+               std::make_move_iterator(buffer.end()));
+    buffer.clear();
+  }
+  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.at != b.at ? a.at < b.at : a.key < b.key;
+  });
+  return all;
+}
 
 }  // namespace
 
@@ -95,28 +107,23 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
   lanes_n_ = effective_lanes(cfg);
   lookahead_ = compute_lookahead(cfg);
 
-  // The gated semantic change: one delay/corruption stream per sending
-  // node, forked off the shared streams in node order (so the layout is a
-  // function of the seed alone, never of the lane count).
-  net_rngs_.reserve(cfg.n);
-  for (NodeId i = 0; i < cfg.n; ++i) net_rngs_.push_back(c_.net_rng_.fork(i));
-  if (c_.faults_ != nullptr) c_.faults_->fork_corruption_streams(cfg.n);
-
-  wctr_.assign(cfg.n, 0);
-  tstate_.resize(cfg.n);
-
+  // One lane per partition replaces the serial lane, whose queue holds only
+  // the fault timeline's timers — this driver applies those at barriers.
   const std::size_t per_lane_reserve =
       std::min(static_cast<std::size_t>(cfg.n) * cfg.n,
                std::size_t{1} << 18) / lanes_n_ + 256;
-  c_.lane_arenas_.reserve(lanes_n_);
-  lanes_.reserve(lanes_n_);
+  c_.lanes_.clear();
   for (std::uint32_t l = 0; l < lanes_n_; ++l) {
-    c_.lane_arenas_.push_back(std::make_unique<Arena>());
     auto lane = std::make_unique<Lane>();
-    lane->heap.reserve(per_lane_reserve);
+    lane->id = l;
+    c_.lane_arenas_.push_back(std::make_unique<Arena>());
+    lane->arena = c_.lane_arenas_.back().get();
+    lane->metrics = &lane->delta;
+    lane->queue.reserve(per_lane_reserve);
     lane->outbox.resize(lanes_n_);
-    lanes_.push_back(std::move(lane));
+    c_.lanes_.push_back(std::move(lane));
   }
+  for (NodeId i = 0; i < cfg.n; ++i) c_.bind_lane(i, *c_.lanes_[i % lanes_n_]);
 
   if (c_.faults_ != nullptr) {
     // The timeline is sorted by time; the prefix within the horizon is the
@@ -135,335 +142,15 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
 
 WindowedEngine::~WindowedEngine() = default;
 
-// ---------------------------------------------------------------------------
-// Context entry points
-// ---------------------------------------------------------------------------
-
-Arena& WindowedEngine::ctx_arena(NodeId node) noexcept {
-  return *c_.lane_arenas_[lane_index(node)];
-}
-
-Time WindowedEngine::wcharge_cpu(NodeId node, Time cost) noexcept {
-  const Time lnow = lanes_[lane_index(node)]->now;
-  if (node >= c_.cpu_free_.size()) return lnow;
-  if (cost <= 0) return std::max(c_.cpu_free_[node], lnow);
-  c_.cpu_free_[node] = std::max(c_.cpu_free_[node], lnow) + cost;
-  return c_.cpu_free_[node];
-}
-
-std::uint32_t WindowedEngine::make_env(std::uint32_t lane_id, PayloadPtr payload,
-                                       Time send_time, std::uint64_t base_id,
-                                       NodeId src, bool broadcast,
-                                       std::int32_t remaining) {
-  const std::uint32_t index = lanes_[lane_id]->store.create(
-      std::move(payload), send_time, base_id, src, broadcast, remaining);
-  return (lane_id << kLaneShift) | index;
-}
-
-void WindowedEngine::route(std::uint32_t src_lane, Event ev, NodeId dst) {
-  const std::uint32_t dst_lane = lane_index(dst);
-  if (dst_lane == src_lane) {
-    lanes_[dst_lane]->heap.push(std::move(ev));
-  } else {
-    lanes_[src_lane]->outbox[dst_lane].push_back(std::move(ev));
-  }
-}
-
-void WindowedEngine::ctx_send(NodeId src, NodeId dst, PayloadPtr payload) {
-  const Time wire_at = wcharge_cpu(src, c_.sign_cost_);
-  if (dst == src) {
-    wdeliver_self(src, std::move(payload));
-  } else {
-    wnetwork_send(src, dst, std::move(payload),
-                  wire_at - lanes_[lane_index(src)]->now);
-  }
-}
-
-void WindowedEngine::wnetwork_send(NodeId src, NodeId dst, PayloadPtr payload,
-                                   Time extra) {
-  Lane& ln = lane(src);
-  const std::uint64_t id = draw_key(src);
-
-  ln.delta.on_send();
-  ln.delta.on_bytes(payload->wire_size());
-  const PayloadType tid = payload->type_id();
-  if (tid != PayloadType::kUnknown) {
-    ln.delta.count_type(tid);
-  } else {
-    ln.delta.count_type(std::string(payload->type()));
-  }
-  if (c_.trace_sink_ != nullptr) {
-    ln.trace.push_back(
-        {ln.now, ln.cur_key,
-         TraceRecord{TraceKind::kSend, ln.now, src, dst,
-                     std::string(payload->type()), payload->digest(), id, 0, 0}});
-  }
-
-  const Time draw = c_.delay_sampler_.sample(net_rngs_[src]);
-  // Matrix-only WAN runs are windowed-safe: the base is a pure function of
-  // the pair, drawn from no stream (gossip/bandwidth never reach here).
-  const Time sampled = c_.wan_ != nullptr
-                           ? draw + c_.wan_->base_delay(src, dst)
-                           : c_.topology_.adjust(draw, src, dst);
-  if (c_.faults_ != nullptr && c_.faults_->any_link_down() &&
-      c_.faults_->link_down(src, dst)) {
-    ln.delta.on_drop();
-    if (c_.trace_sink_ != nullptr) {
-      ln.trace.push_back({ln.now, ln.cur_key,
-                          TraceRecord{TraceKind::kDrop, ln.now, src, dst,
-                                      std::string(payload->type()),
-                                      payload->digest(), id, 0, 0}});
-    }
-    return;
-  }
-  if (c_.faults_ != nullptr && c_.faults_->maybe_corrupt_from(ln.now, src)) {
-    payload = std::allocate_shared<CorruptedPayload>(
-        ArenaAllocator<CorruptedPayload>(c_.lane_arenas_[lane_index(src)].get()),
-        std::move(payload));
-    ln.delta.on_corrupt();
-  }
-  const std::uint32_t env =
-      make_env(lane_index(src), std::move(payload), ln.now, id, src, false, 1);
-  route(lane_index(src),
-        Event{ln.now + std::max<Time>(extra + sampled, 0), id,
-              MessageDelivery{env, dst}},
-        dst);
-}
-
-void WindowedEngine::ctx_broadcast(NodeId src, PayloadPtr payload,
-                                   bool include_self) {
-  const Time wire_at = wcharge_cpu(src, c_.sign_cost_);
-  Lane& ln = lane(src);
-  const std::uint32_t src_lane = lane_index(src);
-  const Time extra = wire_at - ln.now;
-
-  const std::size_t wire = payload->wire_size();
-  const PayloadType tid = payload->type_id();
-  const bool tagged = tid != PayloadType::kUnknown;
-  std::string trace_type;
-  std::uint64_t trace_digest = 0;
-  if (c_.trace_sink_ != nullptr) {
-    trace_type = std::string(payload->type());
-    trace_digest = payload->digest();
-  }
-
-  // Shared fan-out envelope, created lazily; per-destination ids derive
-  // from the first copy's key by loop position, matching the counter's
-  // assignment order exactly (see Envelope::message_id).
-  constexpr std::uint32_t kNoEnvelope = 0xffffffffu;
-  std::uint32_t env = kNoEnvelope;
-  const std::uint64_t base_id =
-      ((static_cast<std::uint64_t>(src) + 1) << kOriginShift) | wctr_[src];
-
-  for (NodeId dst = 0; dst < c_.cfg_.n; ++dst) {
-    if (dst == src) continue;
-    const std::uint64_t id = draw_key(src);
-
-    ln.delta.on_send();
-    ln.delta.on_bytes(wire);
-    if (tagged) {
-      ln.delta.count_type(tid);
-    } else {
-      ln.delta.count_type(std::string(payload->type()));
-    }
-    if (c_.trace_sink_ != nullptr) {
-      ln.trace.push_back({ln.now, ln.cur_key,
-                          TraceRecord{TraceKind::kSend, ln.now, src, dst,
-                                      trace_type, trace_digest, id, 0, 0}});
-    }
-
-    const Time draw = c_.delay_sampler_.sample(net_rngs_[src]);
-    const Time sampled = c_.wan_ != nullptr
-                             ? draw + c_.wan_->base_delay(src, dst)
-                             : c_.topology_.adjust(draw, src, dst);
-    if (c_.faults_ != nullptr && c_.faults_->any_link_down() &&
-        c_.faults_->link_down(src, dst)) {
-      ln.delta.on_drop();
-      if (c_.trace_sink_ != nullptr) {
-        ln.trace.push_back({ln.now, ln.cur_key,
-                            TraceRecord{TraceKind::kDrop, ln.now, src, dst,
-                                        trace_type, trace_digest, id, 0, 0}});
-      }
-      continue;
-    }
-
-    if (c_.faults_ != nullptr && c_.faults_->maybe_corrupt_from(ln.now, src)) {
-      PayloadPtr wrapped = std::allocate_shared<CorruptedPayload>(
-          ArenaAllocator<CorruptedPayload>(c_.lane_arenas_[src_lane].get()),
-          PayloadPtr(payload));
-      ln.delta.on_corrupt();
-      const std::uint32_t solo =
-          make_env(src_lane, std::move(wrapped), ln.now, id, src, false, 1);
-      route(src_lane,
-            Event{ln.now + std::max<Time>(extra + sampled, 0), id,
-                  MessageDelivery{solo, dst}},
-            dst);
-      continue;
-    }
-    if (env == kNoEnvelope) {
-      env = make_env(src_lane, payload, ln.now, base_id, src, true, 0);
-    }
-    lanes_[src_lane]->store.add_pending(env & kEnvMask, 1);
-    route(src_lane,
-          Event{ln.now + std::max<Time>(extra + sampled, 0), id,
-                MessageDelivery{env, dst}},
-          dst);
-  }
-  if (include_self) wdeliver_self(src, std::move(payload));
-}
-
-void WindowedEngine::wdeliver_self(NodeId id, PayloadPtr payload) {
-  Lane& ln = lane(id);
-  const std::uint64_t key = draw_key(id);
-  const std::uint32_t env =
-      make_env(lane_index(id), std::move(payload), ln.now, key, id, false, 1);
-  ln.heap.push(Event{ln.now, key, MessageDelivery{env, id}});
-}
-
-TimerId WindowedEngine::ctx_set_timer(NodeId node, Time delay,
-                                      std::uint64_t tag) {
-  if (c_.faults_ != nullptr) delay = c_.faults_->adjust_timer_delay(node, delay);
-  const std::uint64_t key = draw_key(node);
-  const std::uint64_t ctr = key & kCtrMask;
-  auto& ledger = tstate_[node];
-  if (ctr >= ledger.size()) ledger.resize(ctr + 1, kIdle);
-  ledger[ctr] = kPending;
-  Lane& ln = lane(node);
-  ln.heap.push(Event{ln.now + std::max<Time>(delay, 0), key,
-                     TimerFire{TimerOwner::kNode, node, key, tag}});
-  return key;
-}
-
-void WindowedEngine::ctx_cancel_timer(NodeId node, TimerId id) {
-  (void)node;  // the key encodes its origin; nodes only cancel their own
-  const std::uint64_t origin = id >> kOriginShift;
-  if (origin == 0 || origin - 1 >= c_.cfg_.n) return;
-  auto& ledger = tstate_[origin - 1];
-  const std::uint64_t ctr = id & kCtrMask;
-  if (ctr < ledger.size() && ledger[ctr] == kPending) ledger[ctr] = kCancelled;
-}
-
-void WindowedEngine::ctx_report_decision(NodeId node, Value value) {
-  Lane& ln = lane(node);
-  const std::uint64_t height = c_.decided_count_[node]++;
-  ln.decisions.push_back({ln.now, ln.cur_key, node, height, value});
-  if (c_.trace_sink_ != nullptr) {
-    ln.trace.push_back({ln.now, ln.cur_key,
-                        TraceRecord{TraceKind::kDecide, ln.now, node, kNoNode,
-                                    {}, 0, 0, height, value}});
-  }
-}
-
-void WindowedEngine::ctx_record_view(NodeId node, View view) {
-  Lane& ln = lane(node);
-  if (c_.cfg_.record_views) ln.views.push_back({ln.now, ln.cur_key, node, view});
-  if (c_.trace_sink_ != nullptr) {
-    ln.trace.push_back({ln.now, ln.cur_key,
-                        TraceRecord{TraceKind::kViewChange, ln.now, node,
-                                    kNoNode, {}, 0, 0, view, 0}});
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Window execution (per lane, concurrent)
-// ---------------------------------------------------------------------------
-
-void WindowedEngine::wdeliver_now(Lane& ln, const Message& msg) {
-  if (!c_.is_live(msg.dst)) {
-    ln.delta.on_drop();
-    return;
-  }
-  if (c_.faults_ != nullptr && c_.faults_->is_crashed(msg.dst)) {
-    ln.delta.on_drop();
-    if (c_.cost_model_on_) ln.cpu_charged.erase(msg.id);
-    if (c_.trace_sink_ != nullptr && msg.payload != nullptr) {
-      ln.trace.push_back({ln.now, ln.cur_key,
-                          TraceRecord{TraceKind::kDrop, ln.now, msg.src,
-                                      msg.dst, std::string(msg.payload->type()),
-                                      msg.payload->digest(), msg.id, 0, 0}});
-    }
-    return;
-  }
-  if (c_.cost_model_on_ && msg.src != msg.dst &&
-      !ln.cpu_charged.contains(msg.id)) {
-    ln.cpu_charged.insert(msg.id);
-    (void)wcharge_cpu(msg.dst, c_.verify_cost_);
-    if (c_.cpu_free_[msg.dst] > ln.now) {
-      // Redeliver when the CPU frees up. The re-interned envelope keeps the
-      // original message identity; the fresh key is drawn from the
-      // destination's counter, whose state is lane-count-invariant.
-      const std::uint32_t env = make_env(lane_index(msg.dst), msg.payload,
-                                         msg.send_time, msg.id, msg.src,
-                                         false, 1);
-      ln.heap.push(Event{c_.cpu_free_[msg.dst], draw_key(msg.dst),
-                         MessageDelivery{env, msg.dst}});
-      return;
-    }
-  }
-  if (c_.cost_model_on_) ln.cpu_charged.erase(msg.id);
-  if (msg.src != msg.dst) ln.delta.on_deliver();
-  if (c_.trace_sink_ != nullptr && msg.payload != nullptr) {
-    ln.trace.push_back({ln.now, ln.cur_key,
-                        TraceRecord{TraceKind::kDeliver, ln.now, msg.src,
-                                    msg.dst, std::string(msg.payload->type()),
-                                    msg.payload->digest(), msg.id, 0, 0}});
-  }
-  if (c_.is_corrupt(msg.dst)) return;
-  c_.nodes_[msg.dst]->on_message(msg, c_.node_ctx(msg.dst));
-}
-
-void WindowedEngine::wdispatch(Lane& ln, std::uint32_t lane_id, Event& ev) {
-  ln.cur_key = ev.seq;
-  if (const auto* delivery = std::get_if<MessageDelivery>(&ev.body)) {
-    const std::uint32_t owner = delivery->env >> kLaneShift;
-    EnvelopeStore& store = lanes_[owner]->store;
-    const std::uint32_t index = delivery->env & kEnvMask;
-    const Message msg = store.materialize(index, delivery->dst);
-    wdeliver_now(ln, msg);
-    if (owner == lane_id) {
-      store.release(index);
-    } else if (store.release_remote(index)) {
-      ln.retired.push_back(delivery->env);
-    }
-    return;
-  }
-  const auto& fire = std::get<TimerFire>(ev.body);
-  const std::uint64_t ctr = fire.timer & kCtrMask;
-  auto& ledger = tstate_[fire.node];
-  if (ctr < ledger.size()) {
-    if (ledger[ctr] == kCancelled) {
-      ledger[ctr] = kIdle;
-      return;
-    }
-    ledger[ctr] = kIdle;
-  }
-  // Crashed node: defer the fire to the recovery instant (the kRecover
-  // fault transition lands at a window barrier before that instant's
-  // window executes, so the node is back up when the timer re-fires).
-  if (c_.faults_ != nullptr && c_.faults_->is_crashed(fire.node)) {
-    if (ctr < ledger.size()) ledger[ctr] = kPending;
-    ln.heap.push(Event{c_.faults_->recovery_time(fire.node), fire.timer,
-                       TimerFire{fire.owner, fire.node, fire.timer, fire.tag}});
-    return;
-  }
-  ln.delta.on_timer();
-  const TimerEvent te{fire.timer, fire.tag, ln.now};
-  if (c_.is_live(fire.node) && !c_.is_corrupt(fire.node)) {
-    c_.nodes_[fire.node]->on_timer(te, c_.node_ctx(fire.node));
-  }
-}
-
-void WindowedEngine::run_window(std::uint32_t lane_id, Time w1,
-                                std::uint64_t event_cap) {
-  Lane& ln = *lanes_[lane_id];
-  ln.window_events = 0;
-  while (!ln.heap.empty() && ln.heap.top().at < w1 &&
-         ln.window_events < event_cap) {
-    Event ev = ln.heap.pop();
+void WindowedEngine::run_window(Lane& ln, Time w1, std::uint64_t event_cap) {
+  std::uint64_t events = 0;
+  while (!ln.queue.empty() && ln.queue.next_time() < w1 &&
+         events < event_cap) {
+    Event ev = ln.queue.pop();
     ln.now = ev.at;
-    ++ln.window_events;
+    ++events;
     ln.delta.on_event();
-    wdispatch(ln, lane_id, ev);
+    c_.dispatch(ln, ev);
   }
 }
 
@@ -487,82 +174,50 @@ bool WindowedEngine::apply_faults_at(Time w0) {
 }
 
 bool WindowedEngine::merge_window() {
+  auto& lanes = c_.lanes_;
   // 1. Hand fully-released cross-lane envelopes back to their owners.
-  for (auto& lp : lanes_) {
+  for (auto& lp : lanes) {
     for (const std::uint32_t handle : lp->retired) {
-      lanes_[handle >> kLaneShift]->store.recycle(handle & kEnvMask);
+      lanes[handle >> Lane::kEnvShift]->store.recycle(handle & Lane::kEnvMask);
     }
     lp->retired.clear();
   }
-  // 2. Publish cross-lane sends. Heap order is (at, key) with unique keys,
+  // 2. Publish cross-lane sends. Queue order is (at, key) with unique keys,
   // so insertion timing cannot affect pop order.
-  for (auto& lp : lanes_) {
+  for (auto& lp : lanes) {
     for (std::uint32_t dst_lane = 0; dst_lane < lanes_n_; ++dst_lane) {
-      for (Event& ev : lp->outbox[dst_lane]) {
-        lanes_[dst_lane]->heap.push(std::move(ev));
+      for (const Keyed<MessageDelivery>& r : lp->outbox[dst_lane]) {
+        lanes[dst_lane]->queue.push_keyed(r.at, r.key, r.item);
       }
       lp->outbox[dst_lane].clear();
     }
   }
   // 3. Fold counter deltas into the run metrics.
-  for (auto& lp : lanes_) {
+  for (auto& lp : lanes) {
     c_.metrics_.absorb(lp->delta);
     lp->delta = Metrics{};
   }
-  // 4. Merge ordered products. Equal (at, key) pairs only occur within one
-  // lane's buffer (a key names one dispatch of one node), so the stable
-  // sort reproduces emission order and is lane-count-invariant.
-  const auto by_time_key = [](const auto& a, const auto& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.key < b.key;
-  };
+  // 4. Merge ordered products (see merged()).
   if (c_.trace_sink_ != nullptr) {
-    std::vector<TraceProduct> records;
-    for (auto& lp : lanes_) {
-      records.insert(records.end(), std::make_move_iterator(lp->trace.begin()),
-                     std::make_move_iterator(lp->trace.end()));
-      lp->trace.clear();
+    for (const auto& p : merged(lanes, &Lane::trace)) {
+      c_.trace_sink_->on_record(p.item);
     }
-    std::stable_sort(records.begin(), records.end(), by_time_key);
-    for (const TraceProduct& p : records) c_.trace_sink_->on_record(p.rec);
   }
-  {
-    std::vector<DecisionProduct> decisions;
-    for (auto& lp : lanes_) {
-      decisions.insert(decisions.end(), lp->decisions.begin(),
-                       lp->decisions.end());
-      lp->decisions.clear();
-    }
-    std::stable_sort(decisions.begin(), decisions.end(), by_time_key);
-    for (const DecisionProduct& d : decisions) {
-      // The workload decide hook runs at the barrier in merged order — the
-      // same (at, key) order the serial engine produces — so request-level
-      // latencies are lane-count-invariant like every other product.
-      if (c_.workload_ != nullptr) c_.workload_->on_decide(d.value, d.at);
-      c_.metrics_.on_decision(Decision{d.node, d.at, d.height, d.value});
-      BFTSIM_LOG(kDebug, "node " << d.node << " decided height " << d.height
-                                 << " value " << d.value << " at "
-                                 << to_ms(d.at) << "ms");
-      if (d.height + 1 == c_.cfg_.decisions && c_.is_honest(d.node)) {
-        ++nodes_done_;
-        if (nodes_done_ == honest_total_ && !c_.stopped_) {
-          c_.stopped_ = true;
-          c_.termination_time_ = d.at;
-        }
+  for (const auto& p : merged(lanes, &Lane::decisions)) {
+    // The workload decide hook runs here in merged (at, key) order, so
+    // request-level latencies are lane-count-invariant like every other
+    // product.
+    const Decision& d = p.item;
+    c_.settle_decision(d);
+    if (d.height + 1 == c_.cfg_.decisions && c_.is_honest(d.node)) {
+      ++nodes_done_;
+      if (nodes_done_ == honest_total_ && !c_.stopped_) {
+        c_.stopped_ = true;
+        c_.termination_time_ = d.at;
       }
     }
   }
-  {
-    std::vector<ViewProduct> views;
-    for (auto& lp : lanes_) {
-      views.insert(views.end(), lp->views.begin(), lp->views.end());
-      lp->views.clear();
-    }
-    std::stable_sort(views.begin(), views.end(), by_time_key);
-    for (const ViewProduct& v : views) {
-      c_.metrics_.on_view(ViewRecord{v.node, v.at, v.view});
-    }
-  }
+  for (const auto& p : merged(lanes, &Lane::views)) c_.metrics_.on_view(p.item);
   return c_.metrics_.events_processed() <= c_.cfg_.max_events;
 }
 
@@ -574,15 +229,9 @@ RunResult WindowedEngine::run() {
   if (ran_) throw std::logic_error("WindowedEngine::run() called twice");
   ran_ = true;
 
-  // Serial start phase: on_start callbacks in node order, exactly like the
-  // serial engine. Products carry the node's base key so the merge keeps
-  // node order; sends route through the same mailboxes as window sends.
-  c_.attacker_->on_start(c_.attacker_ctx());
-  for (NodeId i = 0; i < c_.cfg_.n; ++i) {
-    if (!c_.is_live(i)) continue;
-    lane(i).cur_key = (static_cast<std::uint64_t>(i) + 1) << kOriginShift;
-    c_.nodes_[i]->on_start(c_.node_ctx(i));
-  }
+  // Start phase: on_start callbacks in node order, exactly like the serial
+  // engine; sends route through the same mailboxes as window sends.
+  c_.start();
   bool within_budget = merge_window();
 
   TerminationReason reason = TerminationReason::kQueueDrained;
@@ -592,9 +241,9 @@ RunResult WindowedEngine::run() {
     // timeline — the same instant the serial engine would pop next.
     Time w0 = 0;
     bool any = false;
-    for (const auto& lp : lanes_) {
-      if (lp->heap.empty()) continue;
-      const Time t = lp->heap.top().at;
+    for (const auto& lp : c_.lanes_) {
+      if (lp->queue.empty()) continue;
+      const Time t = lp->queue.next_time();
       if (!any || t < w0) {
         w0 = t;
         any = true;
@@ -609,11 +258,9 @@ RunResult WindowedEngine::run() {
     }
     if (!any) break;  // kQueueDrained
     if (w0 > c_.horizon_) {
-      c_.now_ = c_.horizon_;
       reason = TerminationReason::kHorizon;
       break;
     }
-    c_.now_ = w0;
     if (!apply_faults_at(w0)) {
       reason = TerminationReason::kEventBudget;
       break;
@@ -643,12 +290,11 @@ RunResult WindowedEngine::run() {
     // quota is a constant, so the event sequence stays deterministic.
     if (lookahead_ <= 0) cap = std::min<std::uint64_t>(cap, 4096);
     if (lanes_n_ == 1) {
-      run_window(0, w1, cap);
+      run_window(*c_.lanes_.front(), w1, cap);
     } else {
-      parallel_for(*pool_, lanes_n_,
-                   [this, w1, cap](std::size_t l) {
-                     run_window(static_cast<std::uint32_t>(l), w1, cap);
-                   });
+      parallel_for(*pool_, lanes_n_, [this, w1, cap](std::size_t l) {
+        run_window(*c_.lanes_[l], w1, cap);
+      });
     }
     within_budget = merge_window();
     if (!within_budget) reason = TerminationReason::kEventBudget;

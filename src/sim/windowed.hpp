@@ -2,7 +2,7 @@
 //
 // The serial controller processes one global event queue. This driver
 // partitions the nodes across `engine.intra_jobs` lanes (node id mod lane
-// count), gives each lane its own event heap, arena and envelope store, and
+// count), gives each lane its own event queue, arena and envelope store, and
 // executes bounded time windows [W0, W1) concurrently — a conservative
 // parallel discrete-event scheme in the Chandy–Misra tradition, with the
 // lookahead derived from the network model's minimum delay:
@@ -24,32 +24,26 @@
 // barrier in (time, key) order, so RunResult is bit-identical for every
 // intra_jobs value, 1 included.
 //
-// The one semantic divergence from the serial engine is gated behind this
-// mode: network-delay sampling and fault-corruption coins draw from
-// per-sending-node RNG forks instead of one shared stream (a shared stream
-// would make draw order depend on the interleaving). Windowed runs
-// therefore have their own goldens; `engine.intra_jobs = 1` with
-// `engine.rng = "per_node"` is the serial baseline those goldens pin.
-// See docs/PARALLELISM.md for the full argument and the exclusions
-// (attacks, the run timeline sampler, subclassed delivery hooks).
+// The per-event work itself is the controller's: each lane (sim/lane.hpp)
+// runs Controller::dispatch and the one send/deliver/timer path, in the
+// lane mode the controller selects for the run. That mode's one semantic
+// divergence from the serial engine: network-delay sampling and
+// fault-corruption coins draw from per-sending-node RNG forks instead of
+// one shared stream (a shared stream would make draw order depend on the
+// interleaving). Windowed runs therefore have their own goldens;
+// `engine.intra_jobs = 1` with `engine.rng = "per_node"` is the one-lane
+// baseline those goldens pin. This driver holds only the window logic:
+// the lookahead, the lane partition, the barrier loop, fault transitions
+// and the merge. See docs/PARALLELISM.md for the full argument.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
-#include <vector>
 
-#include "core/arena.hpp"
 #include "core/config.hpp"
-#include "core/dary_heap.hpp"
-#include "core/event.hpp"
-#include "core/metrics.hpp"
-#include "core/rng.hpp"
 #include "core/thread_pool.hpp"
-#include "core/trace.hpp"
 #include "core/types.hpp"
-#include "net/envelope.hpp"
-#include "net/message.hpp"
+#include "sim/lane.hpp"
 #include "sim/result.hpp"
 
 namespace bftsim {
@@ -69,9 +63,8 @@ class Controller;
 [[nodiscard]] std::uint32_t effective_lanes(const SimConfig& cfg) noexcept;
 
 /// Drives one windowed-parallel run over a Controller's state. Constructed
-/// by Controller::run() when the engine config selects per-node RNG mode;
-/// lives until the controller is destroyed (its lane stores anchor payload
-/// references).
+/// by Controller::run() when the run takes the lane mode; replaces the
+/// controller's serial lane with one lane per partition.
 class WindowedEngine {
  public:
   explicit WindowedEngine(Controller& c);
@@ -82,104 +75,8 @@ class WindowedEngine {
   /// Runs the simulation to termination; call at most once.
   [[nodiscard]] RunResult run();
 
-  // --- Context entry points (Controller::NodeCtx routes here) --------------
-  [[nodiscard]] Time ctx_now(NodeId node) const noexcept {
-    return lanes_[lane_index(node)]->now;
-  }
-  [[nodiscard]] Arena& ctx_arena(NodeId node) noexcept;
-  void ctx_send(NodeId src, NodeId dst, PayloadPtr payload);
-  void ctx_broadcast(NodeId src, PayloadPtr payload, bool include_self);
-  [[nodiscard]] TimerId ctx_set_timer(NodeId node, Time delay, std::uint64_t tag);
-  void ctx_cancel_timer(NodeId node, TimerId id);
-  void ctx_report_decision(NodeId node, Value value);
-  void ctx_record_view(NodeId node, View view);
-
  private:
-  // Ordering keys: (origin + 1) << 40 | per-origin counter. Origin slot 0
-  // is reserved (nothing queues under it today; global artifacts would
-  // sort first at ties). The counter doubles as the message/timer id
-  // space, so ids stay unique and per-origin monotone.
-  static constexpr unsigned kOriginShift = 40;
-  static constexpr std::uint64_t kCtrMask = (std::uint64_t{1} << kOriginShift) - 1;
-  // Envelope handles pack the owning lane into the high bits; a lane's
-  // slab indexes stay below 1 << 24 by EnvelopeStore's capacity cap.
-  static constexpr unsigned kLaneShift = 24;
-  static constexpr std::uint32_t kEnvMask = (1u << kLaneShift) - 1;
-
-  struct EventOrder {
-    [[nodiscard]] bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
-    }
-  };
-
-  /// A run product buffered during a window and merged at the barrier in
-  /// (at, key) order. Keys repeat only within one dispatch of one node, so
-  /// a stable sort reproduces the in-dispatch emission order.
-  struct TraceProduct {
-    Time at = 0;
-    std::uint64_t key = 0;
-    TraceRecord rec;
-  };
-  struct DecisionProduct {
-    Time at = 0;
-    std::uint64_t key = 0;
-    NodeId node = kNoNode;
-    std::uint64_t height = 0;
-    Value value = 0;
-  };
-  struct ViewProduct {
-    Time at = 0;
-    std::uint64_t key = 0;
-    NodeId node = kNoNode;
-    View view = 0;
-  };
-
-  /// Everything one lane touches while a window executes. Shared state a
-  /// lane may read concurrently (fault flags, config, published envelopes)
-  /// is frozen between barriers; everything it writes lives here or in
-  /// per-node slots owned by the lane (RNGs, counters, cpu_free, ledgers).
-  struct Lane {
-    DaryHeap<Event, 4, EventOrder> heap;
-    EnvelopeStore store;
-    Time now = 0;
-    std::uint64_t cur_key = 0;       ///< key of the event being dispatched
-    std::uint64_t window_events = 0;  ///< events processed this window
-    Metrics delta;                    ///< counter deltas, absorbed at barrier
-    std::vector<TraceProduct> trace;
-    std::vector<DecisionProduct> decisions;
-    std::vector<ViewProduct> views;
-    /// Cross-lane envelopes this lane fully released; the barrier returns
-    /// them to their owner's free list.
-    std::vector<std::uint32_t> retired;
-    /// Cost-model: deliveries whose verify cost this lane already charged.
-    std::unordered_set<std::uint64_t> cpu_charged;
-    /// Cross-lane sends buffered until the barrier, indexed by dest lane.
-    std::vector<std::vector<Event>> outbox;
-  };
-
-  [[nodiscard]] std::uint32_t lane_index(NodeId node) const noexcept {
-    return node % lanes_n_;
-  }
-  [[nodiscard]] Lane& lane(NodeId node) noexcept {
-    return *lanes_[lane_index(node)];
-  }
-  [[nodiscard]] std::uint64_t draw_key(NodeId origin) noexcept {
-    return ((static_cast<std::uint64_t>(origin) + 1) << kOriginShift) |
-           wctr_[origin]++;
-  }
-  [[nodiscard]] std::uint32_t make_env(std::uint32_t lane_id, PayloadPtr payload,
-                                       Time send_time, std::uint64_t base_id,
-                                       NodeId src, bool broadcast,
-                                       std::int32_t remaining);
-
-  [[nodiscard]] Time wcharge_cpu(NodeId node, Time cost) noexcept;
-  void wnetwork_send(NodeId src, NodeId dst, PayloadPtr payload, Time extra);
-  void wdeliver_self(NodeId id, PayloadPtr payload);
-  void route(std::uint32_t src_lane, Event ev, NodeId dst);
-  void wdispatch(Lane& ln, std::uint32_t lane_id, Event& ev);
-  void wdeliver_now(Lane& ln, const Message& msg);
-  void run_window(std::uint32_t lane_id, Time w1, std::uint64_t event_cap);
+  void run_window(Lane& ln, Time w1, std::uint64_t event_cap);
   /// Applies fault transitions scheduled exactly at `w0`; returns false
   /// when the event budget was exhausted mid-application.
   [[nodiscard]] bool apply_faults_at(Time w0);
@@ -191,12 +88,6 @@ class WindowedEngine {
   Controller& c_;
   std::uint32_t lanes_n_ = 1;
   Time lookahead_ = 0;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<Rng> net_rngs_;                   ///< per sending node
-  std::vector<std::uint64_t> wctr_;             ///< per-origin key counters
-  /// Per-node timer ledgers indexed by the timer key's counter bits
-  /// (idle/pending/cancelled, same lazy-deletion scheme as EventQueue).
-  std::vector<std::vector<std::uint8_t>> tstate_;
   std::size_t fault_cursor_ = 0;     ///< next unapplied fault-timeline index
   std::size_t fault_count_ = 0;      ///< timeline entries within the horizon
   std::uint64_t honest_total_ = 0;   ///< live honest nodes (fixed: no attacker)

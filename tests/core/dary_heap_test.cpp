@@ -152,5 +152,33 @@ TEST(DaryHeapProperty, InterleavedChurnMatchesReference) {
   }
 }
 
+// A Less exposing key() takes sift_down's keyed path; the pop order must
+// still be exactly the keys' order, negative times and ties included.
+TEST(DaryHeapProperty, KeyedLessPopsInKeyOrder) {
+  struct KeyedEarlier {
+    static std::pair<Time, std::uint64_t> key(const Event& e) noexcept {
+      return {e.at, e.seq};
+    }
+    bool operator()(const Event& a, const Event& b) const noexcept {
+      return key(a) < key(b);
+    }
+  };
+  DaryHeap<Event, 4, KeyedEarlier> heap;
+  std::mt19937_64 rng(5);
+  std::vector<std::pair<Time, std::uint64_t>> reference;
+  for (std::uint64_t seq = 0; seq < 5'000; ++seq) {
+    const Time at = static_cast<Time>(rng() % 64) - 32;
+    reference.emplace_back(at, seq);
+    heap.push(Event{at, seq, TimerFire{}});
+  }
+  std::sort(reference.begin(), reference.end());
+  for (const auto& [at, seq] : reference) {
+    const Event ev = heap.pop();
+    ASSERT_EQ(ev.at, at);
+    ASSERT_EQ(ev.seq, seq);
+  }
+  EXPECT_TRUE(heap.empty());
+}
+
 }  // namespace
 }  // namespace bftsim

@@ -41,6 +41,19 @@ TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   }
 }
 
+TEST(EventQueueTest, SignedTimesAndKeyedPushesKeepTimeThenKeyOrder) {
+  EventQueue queue;
+  queue.push_keyed(5, 1, timer(0));
+  queue.push_keyed(-3, 9, timer(1));
+  queue.push_keyed(0, 2, timer(2));
+  queue.push_keyed(-3, 4, timer(3));
+  queue.push_keyed(-4, 7, timer(4));
+  for (const NodeId expected : {4u, 3u, 1u, 2u, 0u}) {
+    EXPECT_EQ(std::get<TimerFire>(queue.pop().body).node, expected);
+  }
+  EXPECT_EQ(queue.total_scheduled(), 0u);
+}
+
 TEST(EventQueueTest, NextTimeMatchesTopElement) {
   EventQueue queue;
   queue.push(100, timer(0));

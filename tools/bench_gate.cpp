@@ -27,14 +27,18 @@
 // they differ, the gate refuses to compare (exit 2) — events/sec and
 // speedup figures from different machines are not comparable evidence.
 // --allow-thread-mismatch downgrades the refusal to a warning and gates
-// only the thread-count-insensitive records (serial throughput, memory),
-// skipping parallel speedup comparisons entirely.
+// the thread-count-insensitive records (serial throughput, memory), plus
+// the intra speedup floor when that record's own count matches (below).
 //
 // When both files carry an "intra_speedup" record (the windowed-parallel
 // driver vs its serial per-node-RNG baseline; see docs/PARALLELISM.md),
-// each matched workload's speedup must stay above the --tolerance floor,
-// and the run must have been bit-identical ("identical": true) — a
-// divergent parallel run fails regardless of speed.
+// each matched workload's run must have been bit-identical ("identical":
+// true) — a divergent parallel run fails regardless of speed — and its
+// speedup must stay above the --tolerance floor whenever the two intra
+// records were taken with the same hardware thread count. That count is
+// the record's own "hardware_threads" (the intra record may be re-taken
+// on another machine than the rest of the file), falling back to the
+// file's.
 //
 // When both files carry an "attacker_hook" record (the passive fast path
 // vs a no-op attack on the same workload), the current run must have been
@@ -194,9 +198,7 @@ int main(int argc, char** argv) {
     const std::int64_t ref_threads =
         reference_doc.get_int("hardware_threads", 0);
     const std::int64_t cur_threads = current_doc.get_int("hardware_threads", 0);
-    bool threads_match = true;
     if (ref_threads > 0 && cur_threads > 0 && ref_threads != cur_threads) {
-      threads_match = false;
       if (!allow_thread_mismatch) {
         std::fprintf(stderr,
                      "thread-count mismatch: reference recorded with %lld "
@@ -208,7 +210,8 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::printf("WARN  thread-count mismatch (ref %lld, current %lld): "
-                  "skipping parallel speedup comparisons\n",
+                  "parallel speedups gated only where the intra record's own "
+                  "thread count matches\n",
                   static_cast<long long>(ref_threads),
                   static_cast<long long>(cur_threads));
     }
@@ -332,6 +335,13 @@ int main(int argc, char** argv) {
     const Value* intra_cur = current_doc.as_object().find("intra_speedup");
     if (intra_ref != nullptr && intra_cur != nullptr &&
         intra_ref->is_object() && intra_cur->is_object()) {
+      const std::int64_t intra_ref_threads =
+          intra_ref->get_int("hardware_threads", ref_threads);
+      const std::int64_t intra_cur_threads =
+          intra_cur->get_int("hardware_threads", cur_threads);
+      const bool intra_threads_match = intra_ref_threads <= 0 ||
+                                       intra_cur_threads <= 0 ||
+                                       intra_ref_threads == intra_cur_threads;
       const Value* ref_rows = intra_ref->as_object().find("workloads");
       const Value* cur_rows = intra_cur->as_object().find("workloads");
       if (ref_rows != nullptr && cur_rows != nullptr && ref_rows->is_array() &&
@@ -363,7 +373,7 @@ int main(int argc, char** argv) {
                         "from serial baseline\n",
                         protocol.c_str(), static_cast<long long>(n));
           }
-          if (threads_match && ref_speedup > 0.0 &&
+          if (intra_threads_match && ref_speedup > 0.0 &&
               measured < (1.0 - tolerance) * ref_speedup) {
             ok = false;
             ++regressions;
@@ -376,8 +386,10 @@ int main(int argc, char** argv) {
             std::printf("OK    intra %-12s n=%-5lld %.2fx vs ref %.2fx%s\n",
                         protocol.c_str(), static_cast<long long>(n), measured,
                         ref_speedup,
-                        threads_match ? "" : " (speedup ungated: thread-count "
-                                             "mismatch; identity checked)");
+                        intra_threads_match
+                            ? ""
+                            : " (speedup ungated: thread-count mismatch; "
+                              "identity checked)");
           }
         }
       }
