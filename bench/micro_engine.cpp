@@ -2,7 +2,7 @@
 // queue throughput, RNG sampling, and end-to-end runs per engine — the raw
 // numbers behind the simulator's Fig. 2 speed — plus a serial-vs-parallel
 // experiment-runner comparison and an n-scaling curve (events/sec and
-// resident bytes/node at n up to 4096; see docs/SCALING.md), all written
+// resident bytes/node at n up to 8192; see docs/SCALING.md), all written
 // to a JSON file (default micro_engine.json; --json PATH to move, --jobs N
 // to size the pool, --intra-jobs N to size the windowed-parallel driver,
 // --skip-micro to run only the measurements, --skip-scaling to omit the
@@ -202,7 +202,8 @@ json::Value measure_engine_throughput() {
 /// PBFT's message complexity is quadratic, so one decision at n=4096 is
 /// already ~28M events. Points run in increasing-footprint order so a big
 /// point's freed-but-cached pages cannot pollute a smaller point's
-/// baseline.
+/// baseline. The record carries its own hardware_threads, like the intra
+/// and run-length records.
 json::Value measure_scaling_curve() {
   struct Point {
     const char* protocol;
@@ -210,10 +211,11 @@ json::Value measure_scaling_curve() {
     std::uint32_t decisions;
   };
   const Point points[] = {
-      {"hotstuff-ns", 64, 100}, {"hotstuff-ns", 256, 50},
+      {"hotstuff-ns", 64, 100},  {"hotstuff-ns", 256, 50},
       {"hotstuff-ns", 1024, 20}, {"hotstuff-ns", 4096, 10},
-      {"pbft", 64, 10},          {"pbft", 256, 4},
-      {"pbft", 1024, 1},         {"pbft", 4096, 1},
+      {"hotstuff-ns", 8192, 10}, {"pbft", 64, 10},
+      {"pbft", 256, 4},          {"pbft", 1024, 1},
+      {"pbft", 4096, 1},
   };
 
   std::printf("\n--- n-scaling curve (single run per point) ---\n");
@@ -268,7 +270,11 @@ json::Value measure_scaling_curve() {
     row["bytes_per_node"] = bytes_per_node;
     rows.push_back(json::Value{std::move(row)});
   }
-  return json::Value{std::move(rows)};
+  json::Object o;
+  o["hardware_threads"] =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  o["points"] = json::Value{std::move(rows)};
+  return json::Value{std::move(o)};
 }
 
 /// Measures the run-length curve: pbft, hotstuff-ns and tendermint at
@@ -423,6 +429,7 @@ json::Value measure_intra_speedup(std::uint32_t intra_jobs) {
     std::vector<double> speedups;
     bool identical = true;
     std::uint64_t events = 0;
+    obs::ProfileBreakdown windows;
     for (int pair = 0; pair < kPairs; ++pair) {
       cfg.engine.intra_jobs = 1;
       const auto serial_start = std::chrono::steady_clock::now();
@@ -444,14 +451,18 @@ json::Value measure_intra_speedup(std::uint32_t intra_jobs) {
                              ? serial_walls.back() / parallel_walls.back()
                              : 0.0);
       events = serial.events_processed;
+      windows = parallel.profile;
     }
     const Summary speedup = summarize(speedups);
     const double serial_seconds = summarize(serial_walls).median;
     const double parallel_seconds = summarize(parallel_walls).median;
     std::printf("%-12s n=%-5u serial %7.3f s, intra_jobs=%u %7.3f s -> "
-                "%.2fx (pairs %.2f-%.2f)%s\n",
+                "%.2fx (pairs %.2f-%.2f), windows %llu parallel / %llu "
+                "inline%s\n",
                 w.protocol, w.n, serial_seconds, intra_jobs, parallel_seconds,
                 speedup.median, speedup.min, speedup.max,
+                static_cast<unsigned long long>(windows.windows_parallel),
+                static_cast<unsigned long long>(windows.windows_inline),
                 identical ? "" : "  [RESULTS DIVERGE — bug]");
 
     json::Object row;
@@ -465,6 +476,8 @@ json::Value measure_intra_speedup(std::uint32_t intra_jobs) {
     row["speedup_min"] = speedup.min;
     row["speedup_max"] = speedup.max;
     row["identical"] = identical;
+    row["windows_parallel"] = static_cast<double>(windows.windows_parallel);
+    row["windows_inline"] = static_cast<double>(windows.windows_inline);
     rows.push_back(json::Value{std::move(row)});
   }
   json::Object o;
@@ -761,7 +774,7 @@ void measure_parallel_speedup(const std::string& json_path, std::size_t jobs,
   o["serial_aggregate"] = aggregate_to_json(serial);
   o["parallel_aggregate"] = aggregate_to_json(parallel);
   o["engine_throughput"] = std::move(engine_throughput);
-  if (scaling.is_array()) o["scaling"] = std::move(scaling);
+  if (scaling.is_object()) o["scaling"] = std::move(scaling);
   if (intra_speedup.is_object()) o["intra_speedup"] = std::move(intra_speedup);
   if (attacker_hook.is_object()) o["attacker_hook"] = std::move(attacker_hook);
   if (wan_backend.is_object()) o["wan_backend"] = std::move(wan_backend);

@@ -27,6 +27,12 @@ json::Value ProfileBreakdown::to_json() const {
     o[std::string(to_string(static_cast<ProfileComponent>(i)))] =
         json::Value{std::move(row)};
   }
+  if (windows_parallel + windows_inline != 0) {
+    json::Object windows;
+    windows["parallel"] = static_cast<double>(windows_parallel);
+    windows["inline"] = static_cast<double>(windows_inline);
+    o["windows"] = json::Value{std::move(windows)};
+  }
   return json::Value{std::move(o)};
 }
 

@@ -43,6 +43,11 @@ inline constexpr std::size_t kProfileComponentCount =
 struct ProfileBreakdown {
   std::array<std::uint64_t, kProfileComponentCount> total_ns{};
   std::array<std::uint64_t, kProfileComponentCount> calls{};
+  /// Windowed-engine windows by how their lanes ran: concurrently on the
+  /// lane pool, or one after another on the driver thread. Counted in
+  /// every build (one increment per window); zero on the serial engine.
+  std::uint64_t windows_parallel = 0;
+  std::uint64_t windows_inline = 0;
 
   void record(ProfileComponent c, std::uint64_t ns) noexcept {
     const auto i = static_cast<std::size_t>(c);
@@ -50,7 +55,8 @@ struct ProfileBreakdown {
     ++calls[i];
   }
 
-  /// True when nothing has been recorded (profiling off or unused).
+  /// True when no component time has been recorded (profiling off or
+  /// unused). Window counts do not count: they are recorded in every build.
   [[nodiscard]] bool empty() const noexcept {
     for (const auto n : calls) {
       if (n != 0) return false;
@@ -63,6 +69,8 @@ struct ProfileBreakdown {
       total_ns[i] += other.total_ns[i];
       calls[i] += other.calls[i];
     }
+    windows_parallel += other.windows_parallel;
+    windows_inline += other.windows_inline;
   }
 
   [[nodiscard]] json::Value to_json() const;

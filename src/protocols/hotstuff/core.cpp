@@ -13,21 +13,42 @@ Core::Core(NodeId id) : id_(id) {
   genesis.view = 0;
   genesis.value = 0;
   genesis.height = 0;
-  genesis.justify = QuorumCert{0, kGenesisId, {}};
-  blocks_.emplace(genesis.id, genesis);
-  high_qc_ = QuorumCert{0, kGenesisId, {}};
-  locked_qc_ = high_qc_;
+  genesis.justify = QuorumCert::genesis();
+  blocks_.insert(genesis);
+  high_qc_ = genesis.justify;
+  locked_qc_ = genesis.justify;
 }
 
-const Block* Core::find(Value id) const noexcept {
-  const auto it = blocks_.find(id);
-  return it == blocks_.end() ? nullptr : &it->second;
+std::size_t BlockStore::slot_of(Value id) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = mix64(id) & mask;
+  while (slots_[i] != 0 && blocks_[slots_[i] - 1].id != id) i = (i + 1) & mask;
+  return i;
+}
+
+const Block* BlockStore::find(Value id) const noexcept {
+  const std::uint32_t pos = slots_[slot_of(id)];
+  return pos == 0 ? nullptr : &blocks_[pos - 1];
+}
+
+void BlockStore::insert(const Block& b) {
+  std::size_t slot = slot_of(b.id);
+  if (slots_[slot] != 0) return;
+  if (2 * (blocks_.size() + 1) > slots_.size()) {
+    slots_.assign(2 * slots_.size(), 0);
+    for (std::uint32_t k = 0; k < blocks_.size(); ++k) {
+      slots_[slot_of(blocks_[k].id)] = k + 1;
+    }
+    slot = slot_of(b.id);
+  }
+  blocks_.push_back(b);
+  slots_[slot] = static_cast<std::uint32_t>(blocks_.size());
 }
 
 Block Core::make_block(View view, Context& ctx) {
-  const Block* parent = find(high_qc_.block);
+  const Block* parent = find(high_qc_.block());
   Block b;
-  b.parent = high_qc_.block;
+  b.parent = high_qc_.block();
   b.view = view;
   b.height = (parent != nullptr ? parent->height : 0) + 1;
   b.justify = high_qc_;
@@ -41,8 +62,6 @@ Block Core::make_block(View view, Context& ctx) {
   return b;
 }
 
-void Core::store(const Block& b) { blocks_.emplace(b.id, b); }
-
 bool Core::extends(const Block& descendant, Value ancestor_id) const noexcept {
   const Block* cur = &descendant;
   while (cur != nullptr) {
@@ -55,9 +74,9 @@ bool Core::extends(const Block& descendant, Value ancestor_id) const noexcept {
 
 bool Core::safe_to_vote(const Block& b) const noexcept {
   // Liveness branch: the proposal's justification is newer than our lock.
-  if (b.justify.view > locked_qc_.view) return true;
+  if (b.justify.view() > locked_qc_.view()) return true;
   // Safety branch: the proposal extends the block we are locked on.
-  return extends(b, locked_qc_.block);
+  return extends(b, locked_qc_.block());
 }
 
 bool Core::missing_ancestor(const Block& b) const noexcept {
@@ -72,17 +91,17 @@ bool Core::missing_ancestor(const Block& b) const noexcept {
 }
 
 bool Core::process_qc(const QuorumCert& qc, Context& ctx) {
-  const bool genesis_qc = qc.view == 0 && qc.block == kGenesisId;
+  const bool genesis_qc = qc.view() == 0 && qc.block() == kGenesisId;
   if (!genesis_qc && !qc.valid(quorum(ctx))) return false;
 
   bool advanced = false;
-  if (qc.view > high_qc_.view) {
+  if (qc.view() > high_qc_.view()) {
     high_qc_ = qc;
     advanced = true;
   }
   // Two-chain lock: lock on the parent QC of the newly certified block.
-  if (const Block* b1 = find(qc.block); b1 != nullptr) {
-    if (b1->justify.view > locked_qc_.view) locked_qc_ = b1->justify;
+  if (const Block* b1 = find(qc.block()); b1 != nullptr) {
+    if (b1->justify.view() > locked_qc_.view()) locked_qc_ = b1->justify;
   }
   try_commit(qc, ctx);
   return advanced;
@@ -92,11 +111,11 @@ void Core::try_commit(const QuorumCert& qc, Context& ctx) {
   // Three-chain rule: qc certifies b1; b1.justify certifies b2;
   // b2.justify certifies b3. If the three views are consecutive, b3 and
   // all its uncommitted ancestors are committed.
-  const Block* b1 = find(qc.block);
+  const Block* b1 = find(qc.block());
   if (b1 == nullptr) return;
-  const Block* b2 = find(b1->justify.block);
+  const Block* b2 = find(b1->justify.block());
   if (b2 == nullptr) return;
-  const Block* b3 = find(b2->justify.block);
+  const Block* b3 = find(b2->justify.block());
   if (b3 == nullptr) return;
   if (b1->view != b2->view + 1 || b2->view != b3->view + 1) return;
   if (b3->height <= last_reported_height_) return;
@@ -124,12 +143,8 @@ std::optional<QuorumCert> Core::add_vote(View view, Value block_id, NodeId voter
   if (qc_formed_.contains(key)) return std::nullopt;
   if (!votes_.add_reaches(key, voter, quorum(ctx))) return std::nullopt;
   qc_formed_.mark(key);
-  QuorumCert qc;
-  qc.view = view;
-  qc.block = block_id;
-  const auto& voters = votes_.voters(key);
-  qc.signers.assign(voters.begin(), voters.end());
-  return qc;
+  // The QC's one signer body: every copy of it shares this allocation.
+  return QuorumCert(ctx.arena(), view, block_id, votes_.voters(key));
 }
 
 void Core::request_block(Value block_id, NodeId from, Context& ctx) {

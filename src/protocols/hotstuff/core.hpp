@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -44,7 +43,7 @@ struct Block {
   }
 };
 
-inline constexpr Value kGenesisId = 0x67656e65736973ULL;  // "genesis"
+using bftsim::kGenesisId;
 
 // --- messages ---------------------------------------------------------------
 
@@ -109,6 +108,30 @@ struct BlockResponse final : Payload {
   static constexpr std::size_t kChunk = 16;
 };
 
+// --- block store ------------------------------------------------------------
+
+/// One replica's blocks, keyed by id and never iterated: the blocks sit in
+/// one vector in insertion order, found through an open-addressing table
+/// of positions, so the few blocks an ancestry walk touches share cache
+/// lines instead of each being its own heap node. A pointer from find()
+/// stays valid until the next insert().
+class BlockStore {
+ public:
+  BlockStore() : slots_(16, 0) {}
+
+  /// Adds `b` unless a block with its id is already stored.
+  void insert(const Block& b);
+  [[nodiscard]] const Block* find(Value id) const noexcept;
+
+ private:
+  /// The table slot holding `id`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t slot_of(Value id) const noexcept;
+
+  std::vector<Block> blocks_;
+  /// 1 + index into blocks_, 0 for empty; a power of two, at most half full.
+  std::vector<std::uint32_t> slots_;
+};
+
 // --- core -------------------------------------------------------------------
 
 /// The chained-HotStuff replica state shared by both pacemakers. Hosted by
@@ -131,9 +154,14 @@ class Core {
   [[nodiscard]] Block make_block(View view, Context& ctx);
 
   /// Stores a block (id-keyed; duplicates ignored).
-  void store(const Block& b);
-  [[nodiscard]] bool has(Value id) const noexcept { return blocks_.contains(id); }
-  [[nodiscard]] const Block* find(Value id) const noexcept;
+  void store(const Block& b) { blocks_.insert(b); }
+  [[nodiscard]] bool has(Value id) const noexcept {
+    return find(id) != nullptr;
+  }
+  /// The stored block `id`, or nullptr; valid until the next store().
+  [[nodiscard]] const Block* find(Value id) const noexcept {
+    return blocks_.find(id);
+  }
 
   /// Incorporates a QC: updates high-qc, the lock, and runs the commit
   /// rule (reporting any newly committed values through `ctx`). Returns
@@ -172,10 +200,7 @@ class Core {
   [[nodiscard]] bool extends(const Block& descendant, Value ancestor_id) const noexcept;
 
   NodeId id_;
-  /// Block ids are uniform 64-bit hashes, looked up on every proposal /
-  /// ancestry walk and never iterated — a hash map keeps the walk O(1)
-  /// per hop instead of a tree descent per hop.
-  std::unordered_map<Value, Block> blocks_;
+  BlockStore blocks_;
   QuorumCert high_qc_;
   QuorumCert locked_qc_;
   std::uint64_t last_reported_height_ = 0;  ///< genesis is height 0

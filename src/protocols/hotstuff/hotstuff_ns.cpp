@@ -64,7 +64,7 @@ void HotStuffNsNode::handle_proposal(const Message& msg, Context& ctx) {
   // Process the justification first: commits apply regardless of view
   // (passive catch-up), and a QC for our current view advances us into the
   // proposal's view (optimistic responsiveness).
-  const View justify_view = m.block.justify.view;
+  const View justify_view = m.block.justify.view();
   core_.process_qc(m.block.justify, ctx);
   if (justify_view == cur_view_) enter_view(cur_view_ + 1, ctx);
 
@@ -83,7 +83,7 @@ void HotStuffNsNode::handle_vote(const Message& msg, Context& ctx) {
   // is for our current view; if our timer already pushed us past it the
   // certificate is wasted for liveness. This is the naive synchronizer's
   // weakness under underestimated λ.
-  if (qc->view == cur_view_) enter_view(cur_view_ + 1, ctx);
+  if (qc->view() == cur_view_) enter_view(cur_view_ + 1, ctx);
 }
 
 void HotStuffNsNode::on_timer(const TimerEvent& ev, Context& ctx) {

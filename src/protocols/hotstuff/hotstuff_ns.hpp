@@ -55,7 +55,7 @@ class HotStuffNsNode final : public Node {
   /// timeouts — the oscillation behind Figs. 5 and 9 — and after an outage
   /// the accumulated doubling must be waited out (Fig. 6).
   [[nodiscard]] Time duration_of(View v) const noexcept {
-    const View anchor = core_.high_qc().view;
+    const View anchor = core_.high_qc().view();
     const View since = v > anchor + 1 ? v - 1 - anchor : 0;
     return base_duration_ << std::min<View>(since, kMaxDoubling);
   }

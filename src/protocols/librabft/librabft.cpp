@@ -85,7 +85,7 @@ void LibraBftNode::handle_proposal(const Message& msg, Context& ctx) {
   }
 
   // Certificate-driven synchronization: a QC for view v moves us to v+1.
-  const View justify_view = m.block.justify.view;
+  const View justify_view = m.block.justify.view();
   core_.process_qc(m.block.justify, ctx);
   if (justify_view >= cur_view_) advance_to(justify_view + 1, /*progress=*/true, ctx);
 
@@ -106,7 +106,9 @@ void LibraBftNode::handle_vote(const Message& msg, Context& ctx) {
   const auto qc = core_.add_vote(m.view, m.block_id, msg.src, ctx);
   if (!qc.has_value()) return;
   core_.process_qc(*qc, ctx);
-  if (qc->view >= cur_view_) advance_to(qc->view + 1, /*progress=*/true, ctx);
+  if (qc->view() >= cur_view_) {
+    advance_to(qc->view() + 1, /*progress=*/true, ctx);
+  }
 }
 
 void LibraBftNode::handle_timeout(const Message& msg, Context& ctx) {
@@ -116,10 +118,7 @@ void LibraBftNode::handle_timeout(const Message& msg, Context& ctx) {
   if (!timeout_votes_.add_reaches(m.view, msg.src, Core::quorum(ctx))) return;
   if (!tc_formed_.mark(m.view)) return;
 
-  TimeoutCert tc;
-  tc.view = m.view;
-  const auto& voters = timeout_votes_.voters(m.view);
-  tc.signers.assign(voters.begin(), voters.end());
+  const TimeoutCert tc(ctx.arena(), m.view, timeout_votes_.voters(m.view));
   // Rebroadcast the certificate so laggards jump with us.
   ctx.broadcast(ctx.make_payload<TcMsg>(tc), /*include_self=*/false);
   handle_tc(tc, ctx);
@@ -127,8 +126,8 @@ void LibraBftNode::handle_timeout(const Message& msg, Context& ctx) {
 
 void LibraBftNode::handle_tc(const TimeoutCert& tc, Context& ctx) {
   if (!tc.valid(Core::quorum(ctx))) return;
-  if (tc.view < cur_view_) return;
-  advance_to(tc.view + 1, /*progress=*/false, ctx);
+  if (tc.view() < cur_view_) return;
+  advance_to(tc.view() + 1, /*progress=*/false, ctx);
 }
 
 void LibraBftNode::on_timer(const TimerEvent& ev, Context& ctx) {

@@ -105,8 +105,9 @@ struct RunResult {
   std::vector<obs::TimelineSample> timeline;
   Time timeline_tick = 0;  ///< sampling period backing `timeline` (us)
 
-  /// Per-component hot-path time breakdown; all-zero unless the build was
-  /// configured with -DBFTSIM_PROFILING=ON.
+  /// Per-component hot-path time breakdown, all-zero unless the build was
+  /// configured with -DBFTSIM_PROFILING=ON, plus the windowed engine's
+  /// parallel/inline window counts, recorded in every build.
   obs::ProfileBreakdown profile;
 
   double wall_seconds = 0.0;  ///< host wall-clock cost of this run

@@ -236,6 +236,9 @@ RunResult WindowedEngine::run() {
 
   TerminationReason reason = TerminationReason::kQueueDrained;
   if (!within_budget) reason = TerminationReason::kEventBudget;
+  std::uint64_t windows_parallel = 0;
+  std::uint64_t windows_inline = 0;
+  std::uint64_t last_window_events = 0;  // the first window runs inline
   while (within_budget && !c_.stopped_) {
     // W0: the earliest pending instant across every lane and the fault
     // timeline — the same instant the serial engine would pop next.
@@ -289,18 +292,27 @@ RunResult WindowedEngine::run() {
     // that cadence by forcing a barrier every few thousand events. The
     // quota is a constant, so the event sequence stays deterministic.
     if (lookahead_ <= 0) cap = std::min<std::uint64_t>(cap, 4096);
-    if (lanes_n_ == 1) {
-      run_window(*c_.lanes_.front(), w1, cap);
-    } else {
+    const std::uint64_t events_before = c_.metrics_.events_processed();
+    if (lanes_n_ > 1 && last_window_events >= kInlineWindowEvents) {
       parallel_for(*pool_, lanes_n_, [this, w1, cap](std::size_t l) {
         run_window(*c_.lanes_[l], w1, cap);
       });
+      ++windows_parallel;
+    } else {
+      // Lanes share nothing inside a window, so running them in turn on
+      // this thread gives the results a parallel window would.
+      for (auto& lp : c_.lanes_) run_window(*lp, w1, cap);
+      ++windows_inline;
     }
     within_budget = merge_window();
+    last_window_events = c_.metrics_.events_processed() - events_before;
     if (!within_budget) reason = TerminationReason::kEventBudget;
   }
   if (c_.stopped_) reason = TerminationReason::kDecided;
-  return c_.make_result(reason);
+  RunResult result = c_.make_result(reason);
+  result.profile.windows_parallel = windows_parallel;
+  result.profile.windows_inline = windows_inline;
+  return result;
 }
 
 }  // namespace bftsim

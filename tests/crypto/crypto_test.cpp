@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
+#include "core/arena.hpp"
 #include "crypto/certificate.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/signature.hpp"
@@ -115,56 +118,122 @@ TEST(SignatureTest, DifferentRunSecretsIncompatible) {
 
 // --- certificates ----------------------------------------------------------------
 
+/// The signer list of a quorum at n = 4096 (f = 1365): every id but those
+/// with id % 3 == 1, 2731 of them, ascending.
+std::vector<NodeId> wide_signers() {
+  std::vector<NodeId> ids;
+  for (NodeId i = 0; i < 4096; ++i) {
+    if (i % 3 != 1) ids.push_back(i);
+  }
+  return ids;
+}
+
 TEST(CertificateTest, QuorumCertValidity) {
-  QuorumCert qc;
-  qc.view = 3;
-  qc.block = 0x42;
-  qc.signers = {0, 1, 2, 3, 4};
+  Arena arena;
+  const QuorumCert qc(arena, 3, 0x42, {0, 1, 2, 3, 4});
   EXPECT_TRUE(qc.valid(5));
   EXPECT_TRUE(qc.valid(4));
   EXPECT_FALSE(qc.valid(6));
 }
 
 TEST(CertificateTest, DuplicateSignersRejected) {
-  QuorumCert qc;
-  qc.signers = {0, 1, 1, 2, 3};
+  Arena arena;
+  const QuorumCert qc(arena, 0, 0, {0, 1, 1, 2, 3});
   EXPECT_FALSE(qc.valid(5));
   EXPECT_FALSE(qc.valid(4));  // any duplicate invalidates the certificate
 }
 
 TEST(CertificateTest, DuplicateSignersNeverSatisfyQuorum) {
-  QuorumCert qc;
-  qc.signers = {7, 7, 7, 7, 7};
+  Arena arena;
+  const QuorumCert qc(arena, 0, 0, {7, 7, 7, 7, 7});
   EXPECT_FALSE(qc.valid(2));
 }
 
+TEST(CertificateTest, UnsortedListsKeepTheirVerdict) {
+  Arena arena;
+  // Forged certificates may list signers in any order: distinct is valid,
+  // a duplicate is invalid whether or not the list is sorted.
+  EXPECT_TRUE(QuorumCert(arena, 1, 2, {4, 0, 3, 1}).valid(4));
+  EXPECT_FALSE(QuorumCert(arena, 1, 2, {3, 0, 3, 1}).valid(3));
+  EXPECT_FALSE(QuorumCert(arena, 1, 2, {0, 1, 3, 3}).valid(3));
+  EXPECT_TRUE(TimeoutCert(arena, 1, {2, 0, 1}).valid(3));
+  EXPECT_FALSE(TimeoutCert(arena, 1, {1, 0, 1}).valid(2));
+}
+
 TEST(CertificateTest, DigestSensitivity) {
-  QuorumCert a;
-  a.view = 1;
-  a.block = 2;
-  a.signers = {0, 1, 2};
-  QuorumCert b = a;
+  Arena arena;
+  const QuorumCert a(arena, 1, 2, {0, 1, 2});
+  const QuorumCert b = a;
   EXPECT_EQ(a.digest(), b.digest());
-  b.signers.push_back(3);
-  EXPECT_NE(a.digest(), b.digest());
-  b = a;
-  b.view = 2;
-  EXPECT_NE(a.digest(), b.digest());
+  EXPECT_NE(a.digest(), QuorumCert(arena, 1, 2, {0, 1, 2, 3}).digest());
+  EXPECT_NE(a.digest(), QuorumCert(arena, 2, 2, {0, 1, 2}).digest());
+  EXPECT_NE(a.digest(), QuorumCert(arena, 1, 3, {0, 1, 2}).digest());
+  EXPECT_NE(a.digest(), QuorumCert(arena, 1, 2, {0, 2, 1}).digest());
+  // Signer-less certificates digest their (view, block) alone.
+  EXPECT_NE(QuorumCert(1, 2).digest(), QuorumCert(2, 2).digest());
+  EXPECT_EQ(QuorumCert(1, 2).digest(), QuorumCert(arena, 1, 2, {}).digest());
+}
+
+TEST(CertificateTest, DigestsMatchTheSignerListFormula) {
+  // Pinned values: hash_words({view, block}) (a TC seeds with
+  // {view, 0x5443}) with every signer hash_combine-d in, in list order.
+  Arena arena;
+  EXPECT_EQ(QuorumCert(arena, 7, 0x42, {0, 1, 2}).digest(),
+            0x3eb5a2630610c8f8ULL);
+  EXPECT_EQ(TimeoutCert(arena, 7, {0, 1, 2}).digest(),
+            0x659cf733c885bdebULL);
+  const std::vector<NodeId> wide = wide_signers();
+  ASSERT_EQ(wide.size(), 2731u);
+  EXPECT_EQ(QuorumCert(arena, 12, 0x626c6b, wide).digest(),
+            0x9a1645e9f8388154ULL);
+  EXPECT_EQ(TimeoutCert(arena, 12, wide).digest(), 0x1f2777db3c7bfbc2ULL);
+}
+
+TEST(CertificateTest, CopiesShareOneSignerBody) {
+  Arena arena;
+  const std::vector<NodeId> wide = wide_signers();
+  const QuorumCert qc(arena, 5, 9, wide);
+  const QuorumCert copy = qc;
+  QuorumCert assigned;
+  assigned = copy;
+  EXPECT_EQ(copy.body(), qc.body());
+  EXPECT_EQ(assigned.body(), qc.body());
+  EXPECT_EQ(assigned.signers().data(), qc.signers().data());
+  ASSERT_EQ(qc.signers().size(), wide.size());
+  EXPECT_TRUE(std::equal(wide.begin(), wide.end(), qc.signers().begin()));
+  EXPECT_EQ(sizeof(QuorumCert), 3 * sizeof(std::uint64_t));
+
+  const TimeoutCert tc(arena, 5, wide);
+  const TimeoutCert tc_copy = tc;
+  EXPECT_EQ(tc_copy.body(), tc.body());
+  EXPECT_EQ(tc_copy.digest(), tc.digest());
+}
+
+TEST(CertificateTest, SignerlessCertificatesShareTheEmptyBody) {
+  Arena arena;
+  EXPECT_EQ(QuorumCert{}.body(), &SignerBody::kEmpty);
+  EXPECT_EQ(QuorumCert::genesis().body(), &SignerBody::kEmpty);
+  EXPECT_EQ(QuorumCert(arena, 1, 2, {}).body(), &SignerBody::kEmpty);
+  EXPECT_EQ(TimeoutCert(arena, 1, {}).body(), &SignerBody::kEmpty);
+  EXPECT_EQ(arena.bytes_allocated(), 0u);
+  EXPECT_TRUE(QuorumCert{}.valid(0));
+  EXPECT_FALSE(QuorumCert{}.valid(1));
 }
 
 TEST(CertificateTest, TimeoutCertValidity) {
-  TimeoutCert tc;
-  tc.view = 9;
-  tc.signers = {0, 1, 2};
+  Arena arena;
+  const TimeoutCert tc(arena, 9, {0, 1, 2});
+  EXPECT_EQ(tc.view(), 9u);
   EXPECT_TRUE(tc.valid(3));
   EXPECT_FALSE(tc.valid(4));
-  tc.signers = {0, 0, 1};
-  EXPECT_FALSE(tc.valid(3));
+  EXPECT_FALSE(TimeoutCert(arena, 9, {0, 0, 1}).valid(3));
 }
 
 TEST(CertificateTest, GenesisCert) {
   const QuorumCert genesis = QuorumCert::genesis();
-  EXPECT_EQ(genesis.view, 0u);
+  EXPECT_EQ(genesis.view(), 0u);
+  EXPECT_EQ(genesis.block(), kGenesisId);
+  EXPECT_TRUE(genesis.signers().empty());
   EXPECT_FALSE(genesis.valid(1));  // only special-cased by the protocols
 }
 

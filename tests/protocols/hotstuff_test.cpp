@@ -23,8 +23,10 @@ SimConfig hs_config(std::uint32_t n = 16, std::uint64_t seed = 1) {
 TEST(HotStuffCoreTest, GenesisBootstraps) {
   hotstuff::Core core{0};
   EXPECT_TRUE(core.has(hotstuff::kGenesisId));
-  EXPECT_EQ(core.high_qc().view, 0u);
-  EXPECT_EQ(core.locked_qc().view, 0u);
+  EXPECT_EQ(core.high_qc().view(), 0u);
+  EXPECT_EQ(core.high_qc().block(), hotstuff::kGenesisId);
+  EXPECT_EQ(core.high_qc().digest(), QuorumCert::genesis().digest());
+  EXPECT_EQ(core.locked_qc().view(), 0u);
   EXPECT_EQ(core.committed_height(), 0u);
 }
 
@@ -35,7 +37,7 @@ TEST(HotStuffCoreTest, SafeToVoteRules) {
   b.parent = hotstuff::kGenesisId;
   b.view = 1;
   b.height = 1;
-  b.justify = QuorumCert{0, hotstuff::kGenesisId, {}};
+  b.justify = QuorumCert::genesis();
   core.store(b);
   // Extends the locked (genesis) block: safe.
   EXPECT_TRUE(core.safe_to_vote(b));
@@ -44,7 +46,7 @@ TEST(HotStuffCoreTest, SafeToVoteRules) {
   orphan.id = 2;
   orphan.parent = 999;  // unknown parent, does not extend the lock
   orphan.view = 1;
-  orphan.justify = QuorumCert{0, 999, {}};
+  orphan.justify = QuorumCert{0, 999};
   core.store(orphan);
   EXPECT_FALSE(core.safe_to_vote(orphan));
 }

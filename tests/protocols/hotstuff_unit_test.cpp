@@ -28,18 +28,39 @@ Block make_block(Value id, Value parent, View view, std::uint64_t height,
   return b;
 }
 
+/// Backs the certificates the tests build by hand; it lives for the whole
+/// test program, like a run arena outlives the run's certificates.
+Arena& test_arena() {
+  static Arena arena;
+  return arena;
+}
+
 QuorumCert qc_for(View view, Value block) {
-  QuorumCert qc;
-  qc.view = view;
-  qc.block = block;
-  qc.signers = {0, 1, 2};
-  return qc;
+  return QuorumCert(test_arena(), view, block, {0, 1, 2});
+}
+
+TEST(BlockStoreTest, FindsEveryBlockAcrossGrowthAndKeepsTheFirstCopy) {
+  BlockStore store;
+  for (Value id = 1; id <= 1000; ++id) {
+    store.insert(make_block(id, id - 1, id, id, QuorumCert::genesis()));
+  }
+  // A second block with a stored id is ignored, as std::map::emplace would.
+  store.insert(make_block(7, 0, 99, 99, QuorumCert::genesis()));
+  for (Value id = 1; id <= 1000; ++id) {
+    const Block* b = store.find(id);
+    ASSERT_NE(b, nullptr) << id;
+    EXPECT_EQ(b->id, id);
+    EXPECT_EQ(b->view, id);
+  }
+  EXPECT_EQ(store.find(0), nullptr);
+  EXPECT_EQ(store.find(1001), nullptr);
+  EXPECT_EQ(store.find(kGenesisId), nullptr);
 }
 
 struct ChainFixture {
   ChainFixture() : ctx(0, kN, 1, kLambda), core(0) {
     // genesis <- b1(v1) <- b2(v2) <- b3(v3)
-    b1 = make_block(1, kGenesisId, 1, 1, QuorumCert{0, kGenesisId, {}});
+    b1 = make_block(1, kGenesisId, 1, 1, QuorumCert::genesis());
     b2 = make_block(2, 1, 2, 2, qc_for(1, 1));
     b3 = make_block(3, 2, 3, 3, qc_for(2, 2));
     core.store(b1);
@@ -64,7 +85,7 @@ TEST(HotStuffCoreUnitTest, ThreeChainCommitsTheTail) {
 TEST(HotStuffCoreUnitTest, NonConsecutiveViewsDoNotCommit) {
   MockContext ctx(0, kN, 1, kLambda);
   Core core(0);
-  const Block b1 = make_block(1, kGenesisId, 1, 1, QuorumCert{0, kGenesisId, {}});
+  const Block b1 = make_block(1, kGenesisId, 1, 1, QuorumCert::genesis());
   const Block b2 = make_block(2, 1, 3, 2, qc_for(1, 1));  // view gap 1 -> 3
   const Block b3 = make_block(3, 2, 4, 3, qc_for(3, 2));
   core.store(b1);
@@ -89,29 +110,28 @@ TEST(HotStuffCoreUnitTest, CommitReportsAncestorsInOrder) {
 
 TEST(HotStuffCoreUnitTest, InvalidQcIsRejected) {
   ChainFixture fx;
-  QuorumCert bad = qc_for(3, 3);
-  bad.signers = {0, 0, 1};  // duplicate signer
-  EXPECT_FALSE(fx.core.process_qc(bad, fx.ctx));
+  const QuorumCert duplicate(test_arena(), 3, 3, {0, 0, 1});
+  EXPECT_FALSE(fx.core.process_qc(duplicate, fx.ctx));
   EXPECT_TRUE(fx.ctx.decisions.empty());
-  bad = qc_for(3, 3);
-  bad.signers = {0, 1};  // below quorum
-  EXPECT_FALSE(fx.core.process_qc(bad, fx.ctx));
+  const QuorumCert short_of_quorum(test_arena(), 3, 3, {0, 1});
+  EXPECT_FALSE(fx.core.process_qc(short_of_quorum, fx.ctx));
+  EXPECT_EQ(fx.core.high_qc().view(), 0u);
 }
 
 TEST(HotStuffCoreUnitTest, HighQcIsMonotone) {
   ChainFixture fx;
   EXPECT_TRUE(fx.core.process_qc(qc_for(2, 2), fx.ctx));
-  EXPECT_EQ(fx.core.high_qc().view, 2u);
+  EXPECT_EQ(fx.core.high_qc().view(), 2u);
   EXPECT_FALSE(fx.core.process_qc(qc_for(1, 1), fx.ctx));  // no regression
-  EXPECT_EQ(fx.core.high_qc().view, 2u);
+  EXPECT_EQ(fx.core.high_qc().view(), 2u);
 }
 
 TEST(HotStuffCoreUnitTest, LockFollowsTwoChain) {
   ChainFixture fx;
   fx.core.process_qc(qc_for(3, 3), fx.ctx);
   // QC(b3): b3.justify certifies b2 => locked on b2's certificate.
-  EXPECT_EQ(fx.core.locked_qc().view, 2u);
-  EXPECT_EQ(fx.core.locked_qc().block, 2u);
+  EXPECT_EQ(fx.core.locked_qc().view(), 2u);
+  EXPECT_EQ(fx.core.locked_qc().block(), 2u);
 }
 
 TEST(HotStuffCoreUnitTest, SafeToVoteBranches) {
@@ -130,7 +150,7 @@ TEST(HotStuffCoreUnitTest, SafeToVoteBranches) {
 
   // Neither: conflicting chain with an old justify.
   const Block unsafe = make_block(11, kGenesisId, 11, 1,
-                                  QuorumCert{0, kGenesisId, {}});
+                                  QuorumCert::genesis());
   fx.core.store(unsafe);
   EXPECT_FALSE(fx.core.safe_to_vote(unsafe));
 }
@@ -141,11 +161,40 @@ TEST(HotStuffCoreUnitTest, AddVoteFormsQcExactlyOnce) {
   EXPECT_FALSE(fx.core.add_vote(3, 3, 1, fx.ctx).has_value());
   const auto qc = fx.core.add_vote(3, 3, 2, fx.ctx);  // third distinct voter
   ASSERT_TRUE(qc.has_value());
-  EXPECT_EQ(qc->view, 3u);
-  EXPECT_EQ(qc->block, 3u);
+  EXPECT_EQ(qc->view(), 3u);
+  EXPECT_EQ(qc->block(), 3u);
   EXPECT_TRUE(qc->valid(3));
+  // The QC's body is built once, ascending, from the vote tracker.
+  ASSERT_EQ(qc->signers().size(), 3u);
+  EXPECT_EQ(qc->signers()[0], 0u);
+  EXPECT_EQ(qc->signers()[2], 2u);
+  EXPECT_EQ(qc->digest(), QuorumCert(test_arena(), 3, 3, {0, 1, 2}).digest());
   // A fourth vote does not mint a second certificate.
   EXPECT_FALSE(fx.core.add_vote(3, 3, 3, fx.ctx).has_value());
+}
+
+TEST(HotStuffCoreUnitTest, StoredCopiesShareOneSignerBody) {
+  MockContext ctx(0, kN, 1, kLambda);
+  Core core(0);
+  (void)core.add_vote(1, kGenesisId, 0, ctx);
+  (void)core.add_vote(1, kGenesisId, 1, ctx);
+  const auto qc = core.add_vote(1, kGenesisId, 2, ctx);
+  ASSERT_TRUE(qc.has_value());
+  core.process_qc(*qc, ctx);
+
+  // 100 blocks justified by the one QC, plus high_qc and a fresh proposal:
+  // all copies point at the body add_vote built, and none allocates.
+  const std::size_t arena_bytes = ctx.arena().bytes_allocated();
+  for (Value id = 1; id <= 100; ++id) {
+    core.store(make_block(id, kGenesisId, 2, 1, *qc));
+  }
+  for (Value id = 1; id <= 100; ++id) {
+    ASSERT_NE(core.find(id), nullptr);
+    EXPECT_EQ(core.find(id)->justify.body(), qc->body());
+  }
+  EXPECT_EQ(core.high_qc().body(), qc->body());
+  EXPECT_EQ(core.make_block(2, ctx).justify.body(), qc->body());
+  EXPECT_EQ(ctx.arena().bytes_allocated(), arena_bytes);
 }
 
 TEST(HotStuffCoreUnitTest, DuplicateVotesDoNotFormQc) {
@@ -158,7 +207,7 @@ TEST(HotStuffCoreUnitTest, DuplicateVotesDoNotFormQc) {
 TEST(HotStuffCoreUnitTest, MissingAncestorDetectionAndCatchup) {
   MockContext ctx(0, kN, 1, kLambda);
   Core core(0);
-  const Block b1 = make_block(1, kGenesisId, 1, 1, QuorumCert{0, kGenesisId, {}});
+  const Block b1 = make_block(1, kGenesisId, 1, 1, QuorumCert::genesis());
   const Block b2 = make_block(2, 1, 2, 2, qc_for(1, 1));
   const Block b3 = make_block(3, 2, 3, 3, qc_for(2, 2));
   core.store(b3);  // b1, b2 missing
@@ -254,7 +303,7 @@ TEST(HotStuffNsUnitTest, FollowerRejectsForgedProposal) {
   b.parent = kGenesisId;
   b.view = 1;
   b.height = 1;
-  b.justify = QuorumCert{0, kGenesisId, {}};
+  b.justify = QuorumCert::genesis();
   Message msg;
   msg.src = 1;
   msg.dst = 3;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulation.hpp"
 
 namespace bftsim {
@@ -67,12 +69,12 @@ TEST(LibraBftTest, TimeoutCertificatesFormUnderFailstops) {
 }
 
 TEST(LibraBftTest, TimeoutCertRequiresQuorum) {
-  TimeoutCert tc;
-  tc.view = 4;
-  for (NodeId i = 0; i < 10; ++i) tc.signers.push_back(i);
-  EXPECT_FALSE(tc.valid(11));
-  tc.signers.push_back(10);
-  EXPECT_TRUE(tc.valid(11));
+  Arena arena;
+  std::vector<NodeId> signers;
+  for (NodeId i = 0; i < 10; ++i) signers.push_back(i);
+  EXPECT_FALSE(TimeoutCert(arena, 4, signers).valid(11));
+  signers.push_back(10);
+  EXPECT_TRUE(TimeoutCert(arena, 4, signers).valid(11));
 }
 
 class LibraSweep

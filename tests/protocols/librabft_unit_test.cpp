@@ -74,8 +74,12 @@ TEST(LibraUnitTest, TimeoutQuorumFormsTcAndAdvances) {
   ctx.deliver(node, 2, timeout_from(ctx, 2, 1));  // quorum n - f = 3
   const auto tcs = ctx.sent_of<TcMsg>();
   ASSERT_EQ(tcs.size(), 1u);
-  EXPECT_EQ(tcs[0]->tc.view, 1u);
+  EXPECT_EQ(tcs[0]->tc.view(), 1u);
   EXPECT_TRUE(tcs[0]->tc.valid(3));
+  // The rebroadcast carries the body built from the tracker: ascending.
+  ASSERT_EQ(tcs[0]->tc.signers().size(), 3u);
+  EXPECT_EQ(tcs[0]->tc.signers()[0], 0u);
+  EXPECT_EQ(tcs[0]->tc.signers()[2], 2u);
   // The node itself advanced to view 2 (recorded).
   ASSERT_GE(ctx.views.size(), 2u);
   EXPECT_EQ(ctx.views.back(), 2u);
@@ -85,9 +89,7 @@ TEST(LibraUnitTest, ReceivedTcJumpsStragglerForward) {
   MockContext ctx(3, kN, 1, kLambda);
   LibraBftNode node(3, config());
   node.on_start(ctx);
-  TimeoutCert tc;
-  tc.view = 7;
-  tc.signers = {0, 1, 2};
+  const TimeoutCert tc(ctx.arena(), 7, {0, 1, 2});
   ctx.deliver(node, 0, std::make_shared<const TcMsg>(tc));
   EXPECT_EQ(ctx.views.back(), 8u);  // jumped straight past views 2..7
 }
@@ -97,9 +99,7 @@ TEST(LibraUnitTest, InvalidTcIsIgnored)
   MockContext ctx(3, kN, 1, kLambda);
   LibraBftNode node(3, config());
   node.on_start(ctx);
-  TimeoutCert tc;
-  tc.view = 7;
-  tc.signers = {0, 0, 1};  // duplicate signers
+  const TimeoutCert tc(ctx.arena(), 7, {0, 0, 1});  // duplicate signers
   ctx.deliver(node, 0, std::make_shared<const TcMsg>(tc));
   EXPECT_EQ(ctx.views.back(), 1u);  // unmoved
 }
@@ -108,9 +108,7 @@ TEST(LibraUnitTest, StaleTimeoutsAreIgnored) {
   MockContext ctx(3, kN, 1, kLambda);
   LibraBftNode node(3, config());
   node.on_start(ctx);
-  TimeoutCert tc;
-  tc.view = 4;
-  tc.signers = {0, 1, 2};
+  const TimeoutCert tc(ctx.arena(), 4, {0, 1, 2});
   ctx.deliver(node, 0, std::make_shared<const TcMsg>(tc));  // now in view 5
   ctx.clear_sent();
   // Timeouts for view 1 can no longer form anything relevant.
@@ -126,9 +124,7 @@ TEST(LibraUnitTest, LeaderOfNewViewProposesAfterTc) {
   LibraBftNode node(2, config());
   node.on_start(ctx);
   ctx.clear_sent();
-  TimeoutCert tc;
-  tc.view = 1;
-  tc.signers = {0, 1, 3};
+  const TimeoutCert tc(ctx.arena(), 1, {0, 1, 3});
   ctx.deliver(node, 0, std::make_shared<const TcMsg>(tc));
   const auto proposals = ctx.sent_of<Proposal>();
   ASSERT_EQ(proposals.size(), 1u);

@@ -8,7 +8,9 @@
 //   - when it is windowed-eligible (passive attacker, no gossip or
 //     bandwidth backend, no closed-loop workload), give a bit-identical
 //     RunResult at intra_jobs = 1 and at 2 + (i mod 7) lanes, the
-//     multi-lane run streaming through the binary sink.
+//     multi-lane run streaming through the binary sink;
+// and, widened to four times the nodes, enough of them must run windows
+// on the lane pool.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -127,6 +129,31 @@ TEST(EngineEquivalenceDraw, CoversFaultsTopologiesAndCostModelsOnLanes) {
   EXPECT_GT(faulted, 0);
   EXPECT_GT(topo, 0);
   EXPECT_GT(cost, 0);
+}
+
+// A window runs its lanes inline when the window before it processed fewer
+// than 256 events, so at the draw's own sizes most lane runs never touch the
+// lane pool. Widened to four times the nodes, every eligible scenario must
+// still agree across lane counts, and at least half of them must put
+// windows on the pool: that is the concurrent path a TSan build checks.
+TEST(EngineEquivalenceDraw, WidenedScenariosRunParallelWindows) {
+  int eligible = 0;
+  int parallel = 0;
+  for (int i = 0; i < kScenarios; ++i) {
+    SimConfig cfg = scenario(i);
+    if (!windowed_eligible(cfg)) continue;
+    ++eligible;
+    SCOPED_TRACE(cfg.to_json().dump());
+    cfg.n *= 4;
+    cfg.engine.rng = EngineConfig::RngMode::kPerNode;
+    cfg.engine.intra_jobs = 1;
+    const RunResult one = run_through(cfg, TraceSinkKind::kMemory, "");
+    cfg.engine.intra_jobs = 4;
+    const RunResult four = run_through(cfg, TraceSinkKind::kMemory, "");
+    expect_identical(four, one);
+    parallel += four.profile.windows_parallel > 0 ? 1 : 0;
+  }
+  EXPECT_GE(parallel, eligible / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomScenarios, EngineEquivalence,

@@ -47,6 +47,10 @@ TEST(SerialFallbackTest, FallbackIsBitIdenticalToTheSerialEngine) {
   EXPECT_EQ(fallback.trace_fingerprint, serial.trace_fingerprint);
   EXPECT_EQ(fallback.trace_records, serial.trace_records);
 
+  // The serial engine runs no windows at all.
+  EXPECT_EQ(fallback.profile.windows_parallel, 0u);
+  EXPECT_EQ(fallback.profile.windows_inline, 0u);
+
   ASSERT_EQ(fallback.warnings.size(), 1u);
   EXPECT_EQ(fallback.warnings[0].code, "engine-serial-fallback");
   EXPECT_NE(fallback.warnings[0].detail.find("partition"), std::string::npos);
@@ -81,6 +85,9 @@ TEST(SerialFallbackTest, PassiveRunsStayOnTheWindowedEngine) {
   EXPECT_TRUE(lanes4.warnings.empty());
   EXPECT_EQ(lanes4.termination_time, lanes1.termination_time);
   EXPECT_EQ(lanes4.trace_fingerprint, lanes1.trace_fingerprint);
+  // Both ran windows (pbft n=16 fills none enough to use the lane pool).
+  EXPECT_GT(lanes1.profile.windows_inline, 0u);
+  EXPECT_GT(lanes4.profile.windows_inline, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // bit-identical across lane counts). The one-lane baseline itself is pinned
 // by tests/data/windowed_goldens.json (tools/record_goldens --windowed), so
 // an engine change that moved every lane count alike still fails here.
+// Each hand-written scenario also runs widened to enough nodes that some
+// windows run on the lane pool rather than inline.
 #include "sim/windowed.hpp"
 
 #include <gtest/gtest.h>
@@ -176,12 +178,34 @@ RunResult expect_lane_invariant(const std::string& name,
                                 const SimConfig& cfg) {
   const RunResult serial = run_windowed(cfg, 1);
   expect_windowed_golden(name, cfg, serial);
+  EXPECT_EQ(serial.profile.windows_parallel, 0u);
   for (const std::uint32_t jobs : {2u, 3u, 8u}) {
     SCOPED_TRACE("intra_jobs=" + std::to_string(jobs));
     expect_identical(run_windowed(cfg, jobs), serial);
   }
   return serial;
 }
+
+/// The recorded scenarios are too small for the lane pool: a window runs
+/// its lanes inline when the window before it processed fewer than 256
+/// events. This runs `cfg` widened to `n` nodes at one lane and at four,
+/// checks the two agree, and requires the four-lane run to put windows on
+/// the pool, so the concurrent path (what a TSan build of this suite
+/// checks) covers every scenario here.
+void expect_parallel_windows(SimConfig cfg, std::uint32_t n) {
+  SCOPED_TRACE("widened to n=" + std::to_string(n));
+  cfg.n = n;
+  const RunResult one = run_windowed(cfg, 1);
+  const RunResult four = run_windowed(cfg, 4);
+  expect_identical(four, one);
+  EXPECT_GT(four.profile.windows_parallel, 0u)
+      << "every window ran inline: widen the scenario";
+}
+
+/// Quadratic protocols fill a window with n = 32; linear ones (a proposal
+/// broadcast and n votes per view) need n = 256.
+constexpr std::uint32_t kWideN = 32;
+constexpr std::uint32_t kWideLinearN = 256;
 
 TEST(WindowedDeterminism, GoldenConfigsAreLaneCountInvariant) {
   const std::string path =
@@ -210,6 +234,9 @@ TEST(WindowedDeterminism, DecidedRunsMatchAcrossProtocols) {
     cfg.protocol = protocol;
     cfg.decisions = 3;
     expect_lane_invariant(std::string("protocols/") + protocol, cfg);
+    const bool linear =
+        cfg.protocol == "hotstuff-ns" || cfg.protocol == "librabft";
+    expect_parallel_windows(cfg, linear ? kWideLinearN : kWideN);
   }
 }
 
@@ -218,6 +245,7 @@ TEST(WindowedDeterminism, CostModelRunsAreLaneCountInvariant) {
   cfg.cost.verify_ms = 0.4;
   cfg.cost.sign_ms = 0.9;
   expect_lane_invariant("cost-model", cfg);
+  expect_parallel_windows(cfg, kWideN);
 }
 
 TEST(WindowedDeterminism, GeoTopologyRunsAreLaneCountInvariant) {
@@ -228,6 +256,7 @@ TEST(WindowedDeterminism, GeoTopologyRunsAreLaneCountInvariant) {
   topo["cross_extra_ms"] = 40.0;
   cfg.topology = json::Value(topo);
   expect_lane_invariant("geo-topology", cfg);
+  expect_parallel_windows(cfg, kWideN);
 }
 
 // --- fault-layer interaction ---------------------------------------------------
@@ -244,6 +273,7 @@ TEST(WindowedFaults, CrashAndLinkFlapScenariosAreLaneCountInvariant) {
   cfg.faults.link_flaps.push_back(
       {/*a=*/0, /*b=*/5, /*at_ms=*/700.0, /*duration_ms=*/600.0});
   expect_lane_invariant("crash-flap", cfg);
+  expect_parallel_windows(cfg, kWideN);
 }
 
 TEST(WindowedFaults, CorruptionDrawsArePerSenderAndLaneCountInvariant) {
@@ -254,6 +284,7 @@ TEST(WindowedFaults, CorruptionDrawsArePerSenderAndLaneCountInvariant) {
   cfg.faults.corruption.end_ms = 0.0;  // whole run
   const RunResult serial = expect_lane_invariant("corruption", cfg);
   EXPECT_GT(serial.messages_corrupted, 0u) << "scenario corrupts nothing";
+  expect_parallel_windows(cfg, kWideN);
 }
 
 TEST(WindowedFaults, ClockSkewShrinksTheWindowButStaysInvariant) {
@@ -262,6 +293,7 @@ TEST(WindowedFaults, ClockSkewShrinksTheWindowButStaysInvariant) {
   cfg.faults.clock.max_drift = 0.01;
   ASSERT_GT(compute_lookahead(cfg), 0);
   expect_lane_invariant("clock-skew", cfg);
+  expect_parallel_windows(cfg, kWideN);
 }
 
 TEST(WindowedFaults, RandomWindowScenariosAreLaneCountInvariant) {
@@ -274,6 +306,7 @@ TEST(WindowedFaults, RandomWindowScenariosAreLaneCountInvariant) {
                                   /*end_ms=*/2500.0, /*min_duration_ms=*/100.0,
                                   /*max_duration_ms=*/900.0};
   expect_lane_invariant("random-windows", cfg);
+  expect_parallel_windows(cfg, kWideN);
 }
 
 // --- self-degradation end to end ----------------------------------------------

@@ -8,8 +8,9 @@
 // i.e. 25%) below its reference. Faster-than-reference results always
 // pass — the gate only guards against regressions.
 //
-// When both files carry a "scaling" array (the n-scaling curve, see
-// docs/SCALING.md), each matched point is gated twice: events/sec must
+// When both files carry a "scaling" record (the n-scaling curve, see
+// docs/SCALING.md: its own "hardware_threads" and a "points" array), each
+// matched point is gated twice: events/sec must
 // stay above the --tolerance floor, and bytes_per_node must stay below
 // the --mem-tolerance ceiling (default 0.35). Memory points whose
 // reference is under 4 KiB/node are skipped — at that size the reading is
@@ -21,6 +22,12 @@
 // at every size — the allocation sequence is deterministic, so bytes/node
 // is stable even when the wall clock is not. Files without a scaling
 // section gate workloads only, so the two checks roll out independently.
+//
+// The current file's curve is also gated on its own shape, for protocols
+// whose per-event cost should not grow with n (hotstuff-ns): at the
+// largest n, events/sec must stay at or above a third of the n=64 row, and
+// bytes/node at or below the n=64 row. Both sides come from one run of
+// one machine, so this holds under --allow-thread-mismatch too.
 //
 // Thread-count honesty: every micro_engine record carries the machine's
 // actual "hardware_threads". When both files declare a thread count and
@@ -128,6 +135,13 @@ constexpr double kMinGatedBytesPerNode = 4096.0;
 /// only their memory side is gated.
 constexpr double kMinGatedWallSeconds = 0.1;
 
+/// Protocols whose scaling curve must stay flat: per-event cost and
+/// per-node memory independent of n (ROADMAP item 3's acceptance).
+constexpr const char* kFlatScalingProtocols[] = {"hotstuff-ns"};
+/// How far events/sec at the largest n may fall below the n=64 row.
+constexpr double kMaxFlatSlowdown = 3.0;
+constexpr std::int64_t kFlatBaseN = 64;
+
 /// Largest wall(4k)/wall(1k) a run-length curve may show unless the
 /// reference says otherwise: 4 is a constant per-decision cost, the rest
 /// absorbs cache effects and timer noise.
@@ -135,7 +149,9 @@ constexpr double kMaxRunLengthWallRatio = 4.5;
 
 std::vector<ScalePoint> parse_scaling(const Value& doc) {
   std::vector<ScalePoint> points;
-  const Value* rows = doc.as_object().find("scaling");
+  const Value* scaling = doc.as_object().find("scaling");
+  if (scaling == nullptr || !scaling->is_object()) return points;
+  const Value* rows = scaling->as_object().find("points");
   if (rows == nullptr || !rows->is_array()) return points;
   for (const Value& row : rows->as_array()) {
     ScalePoint p;
@@ -324,6 +340,48 @@ int main(int argc, char** argv) {
                       speed_gated ? "" : " (ungated: ref run < 0.1 s)",
                       cur.bytes_per_node);
         }
+      }
+    }
+
+    // --- flat curves: largest n against the same run's n=64 row -----------
+    for (const char* protocol : kFlatScalingProtocols) {
+      const ScalePoint* base = nullptr;
+      const ScalePoint* top = nullptr;
+      for (const ScalePoint& p : scale_cur) {
+        if (p.protocol != protocol) continue;
+        if (p.n == kFlatBaseN) base = &p;
+        if (top == nullptr || p.n > top->n) top = &p;
+      }
+      if (base == nullptr || top == base) continue;
+      ++scale_compared;
+      const double slowdown = top->events_per_sec > 0.0
+                                  ? base->events_per_sec / top->events_per_sec
+                                  : 0.0;
+      bool ok = true;
+      if (top->events_per_sec <= 0.0 || slowdown > kMaxFlatSlowdown) {
+        ok = false;
+        ++regressions;
+        std::printf("FAIL  flat  %-12s n=%-5lld %10.0f ev/s is %.2fx below "
+                    "n=%lld (limit %.1fx)\n",
+                    protocol, static_cast<long long>(top->n),
+                    top->events_per_sec, slowdown,
+                    static_cast<long long>(kFlatBaseN), kMaxFlatSlowdown);
+      }
+      if (top->bytes_per_node > base->bytes_per_node) {
+        ok = false;
+        ++regressions;
+        std::printf("FAIL  flat  %-12s n=%-5lld %8.0f bytes/node above "
+                    "n=%lld's %.0f\n",
+                    protocol, static_cast<long long>(top->n),
+                    top->bytes_per_node, static_cast<long long>(kFlatBaseN),
+                    base->bytes_per_node);
+      }
+      if (ok) {
+        std::printf("OK    flat  %-12s n=%-5lld %.2fx below n=%lld ev/s, "
+                    "%.0f <= %.0f bytes/node\n",
+                    protocol, static_cast<long long>(top->n), slowdown,
+                    static_cast<long long>(kFlatBaseN), top->bytes_per_node,
+                    base->bytes_per_node);
       }
     }
 
