@@ -65,6 +65,15 @@ class DaryHeap {
     return out;
   }
 
+  /// Replaces the minimum element with `value` and restores heap order
+  /// with one sift-down (the root has no parent, so any value is valid):
+  /// a merge cursor advancing along a sorted run pays for one sift where
+  /// a pop followed by a push pays for two. Precondition: !empty().
+  void replace_top(T value) {
+    slots_.front() = std::move(value);
+    sift_down(0);
+  }
+
   void clear() noexcept { slots_.clear(); }
 
  private:
@@ -127,9 +136,10 @@ class DaryHeap {
     slots_[index] = std::move(value);
   }
 
-  /// Heap size (elements) from which sift_down prefetches: about 256 KiB
-  /// of 48-byte events, the size of a private L2 slice.
-  static constexpr std::size_t kPrefetchFrom = std::size_t{1} << 13;
+  /// Heap size from which sift_down prefetches: about 256 KiB, the size
+  /// of a private L2 slice.
+  static constexpr std::size_t kPrefetchFrom =
+      (std::size_t{1} << 18) / sizeof(T);
 
   std::vector<T> slots_;
   [[no_unique_address]] Less less_;

@@ -25,8 +25,8 @@ enum class TimerOwner : std::uint8_t { kNode, kAttacker, kSystem, kFault };
 /// Message the event used to carry — the payload, source, send time and id
 /// live once per transmission in the controller's EnvelopeStore (a
 /// broadcast's n-1 deliveries share one envelope; see net/envelope.hpp).
-/// Windowed-parallel runs pack the owning lane into the handle's high bits
-/// (see sim/windowed.cpp).
+/// The handle packs the owning lane above the store index (see
+/// Controller::make_env and Lane::kEnvShift in sim/lane.hpp).
 struct MessageDelivery {
   std::uint32_t env = 0;
   NodeId dst = kNoNode;
@@ -47,9 +47,11 @@ struct TimerEvent {
   Time fired_at = 0;
 };
 
-/// A queued simulation event. `seq` is a global monotonically increasing
-/// tie-breaker so that events with equal timestamps pop in insertion order,
-/// making every run fully deterministic.
+/// A simulation event as EventQueue::pop() returns it (the queue itself
+/// stores a 24-byte entry per run or timer; see core/event_queue.hpp).
+/// `seq` is a global monotonically increasing tie-breaker so that events
+/// with equal timestamps pop in insertion order, making every run fully
+/// deterministic.
 struct Event {
   Time at = 0;
   std::uint64_t seq = 0;

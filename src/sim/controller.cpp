@@ -169,6 +169,7 @@ Controller::Controller(SimConfig cfg)
   Lane& serial = *lanes_.front();
   serial.arena = &arena_;
   serial.metrics = &metrics_;
+  serial.broadcast_runs.resize(1);
 
   nodes_.resize(cfg_.n);
   ctxs_.reserve(cfg_.n);
@@ -190,16 +191,10 @@ Controller::Controller(SimConfig cfg)
   cpu_free_.assign(cfg_.n, 0);
   corrupt_flags_.assign(cfg_.n, 0);
 
-  // Size the event queue for the steady-state backlog: every node can have
-  // a broadcast in flight (n-1 deliveries each) plus timers; the heap's
-  // backing vector then recycles its slots for the rest of the run. The n²
-  // estimate is capped — at n=4096 it would pin ~1 GB of heap before the
-  // first event; beyond the cap the vector grows geometrically on demand,
-  // which changes nothing observable (heap order is capacity-independent).
-  constexpr std::size_t kMaxQueueReserve = std::size_t{1} << 18;
-  serial.queue.reserve(
-      std::min(static_cast<std::size_t>(cfg_.n) * cfg_.n, kMaxQueueReserve) +
-      256);
+  // Size the event queue for the steady-state backlog. A broadcast in
+  // flight is one heap entry however many copies it has, so the heap holds
+  // O(n) entries: a few broadcasts, self-deliveries and timers per node.
+  serial.queue.reserve(kQueueEntriesPerNode * cfg_.n + 256);
   if (cost_model_on_) serial.cpu_charged.reserve(256);
 
   attacker_ = make_attacker(cfg_);
@@ -324,6 +319,20 @@ void Controller::broadcast(Lane& ln, NodeId src, PayloadPtr payload,
     for (NodeId dst = 0; dst < cfg_.n; ++dst) {
       if (dst != src) send_copy(ln, tx, src, dst);
     }
+    // Close the fan-out's runs: the one for this lane joins its queue, the
+    // others wait for the barrier (WindowedEngine::merge_window).
+    for (Lane::BroadcastRuns& out : ln.broadcast_runs) {
+      if (out.ready == out.runs.size() || out.runs[out.ready].entries.empty()) {
+        continue;
+      }
+      EventQueue::Run& run = out.runs[out.ready];
+      ln.queue.sort(run);
+      if (&out == &ln.broadcast_runs[ln.id]) {
+        ln.queue.adopt(run);
+      } else {
+        ++out.ready;
+      }
+    }
   }
   if (include_self) deliver_self(ln, src, std::move(payload));
 }
@@ -376,6 +385,7 @@ void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
   // event carries an 8-byte handle. Bit-identical to the hook path: a
   // passive attacker's attack() observes and changes nothing.
   std::uint32_t env;
+  bool in_run = false;
   if (faults_ != nullptr &&
       (lane_mode_ ? faults_->maybe_corrupt_from(ln.now, from)
                   : faults_->maybe_corrupt(ln.now))) {
@@ -392,6 +402,7 @@ void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
     }
     env = tx.shared_env;
     ln.store.add_pending(env & Lane::kEnvMask, 1);
+    in_run = true;
   } else {
     env = make_env(ln, tx.payload, ln.now, id, tx.src, false, 1);
   }
@@ -402,7 +413,7 @@ void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
       wan_ != nullptr && wan_->bandwidth_enabled()
           ? wan_->delivery_time(from, dst, tx.wire, ln.now + tx.extra, sampled)
           : ln.now + std::max<Time>(tx.extra + sampled, 0);
-  enqueue(ln, at, id, MessageDelivery{env, dst});
+  enqueue(ln, at, id, MessageDelivery{env, dst}, in_run);
 }
 
 void Controller::intercept(Lane& ln, const Transmission& tx, NodeId dst,
@@ -466,7 +477,16 @@ void Controller::deliver_self(Lane& ln, NodeId id, PayloadPtr payload) {
 }
 
 void Controller::enqueue(Lane& ln, Time at, std::uint64_t key,
-                         MessageDelivery d) {
+                         MessageDelivery d, bool in_run) {
+  if (in_run) {
+    // The broadcast's run for the destination's lane; broadcast() closes
+    // it after the fan-out. The serial engine keys it by insertion order.
+    Lane::BroadcastRuns& out = ln.broadcast_runs[lane_for(d.dst).id];
+    if (out.ready == out.runs.size()) out.runs.emplace_back();
+    EventQueue::append(out.runs[out.ready], at,
+                       lane_mode_ ? key : ln.queue.draw_seq(), d.env, d.dst);
+    return;
+  }
   if (!lane_mode_) {
     ln.queue.push(at, d);
     return;

@@ -103,8 +103,11 @@ class Controller {
   void inject_message(Message msg, Time delay);
   /// Schedules a delivery: by insertion order on the serial engine, by
   /// `key` on the lane engine (via the outbox when `d.dst` lives on
-  /// another lane).
-  void enqueue(Lane& ln, Time at, std::uint64_t key, MessageDelivery d);
+  /// another lane). An `in_run` copy joins its broadcast's run for the
+  /// destination's lane (Lane::broadcast_runs), which broadcast() closes after
+  /// its fan-out; any other delivery is a run of one.
+  void enqueue(Lane& ln, Time at, std::uint64_t key, MessageDelivery d,
+               bool in_run = false);
   [[nodiscard]] std::uint32_t make_env(Lane& ln, PayloadPtr payload,
                                        Time send_time, std::uint64_t base_id,
                                        NodeId src, bool broadcast,
@@ -173,6 +176,11 @@ class Controller {
   // would sort first at ties). The counter doubles as the message id
   // space, so ids stay unique and per-origin monotone.
   static constexpr unsigned kOriginShift = 40;
+
+  /// Event-queue entries reserved per node: a broadcast in flight is one
+  /// heap entry, so the backlog is a few broadcasts, self-deliveries and
+  /// timers per node.
+  static constexpr std::size_t kQueueEntriesPerNode = 4;
 
   SimConfig cfg_;
   /// Run-scoped arena backing payload allocations. Declared before every

@@ -7,7 +7,7 @@
 // an event executes: the clock, the event queue (with its timer ledger),
 // the envelope store its sends intern into, the key of the event being
 // dispatched, the metrics target, buffered run products, the cost-model
-// ledger, cross-lane outboxes and a profile breakdown.
+// ledger, broadcast runs, cross-lane outboxes and a profile breakdown.
 //
 // The run's mode decides how the shared path uses a lane (see
 // docs/PARALLELISM.md): the serial engine orders events by the queue's
@@ -68,6 +68,16 @@ struct Lane {
   std::unordered_set<std::uint64_t> cpu_charged;
   /// Cross-lane sends buffered until the barrier, indexed by dest lane.
   std::vector<std::vector<Keyed<MessageDelivery>>> outbox;
+  /// A broadcast's copies as one run per destination lane, indexed by it.
+  /// `runs[ready]`, when not empty, is the open broadcast's. The run for
+  /// this lane joins its queue as the fan-out ends; for another lane, the
+  /// first `ready` runs are sorted and wait for the barrier's
+  /// EventQueue::adopt(). The rest are drained blocks kept for reuse.
+  struct BroadcastRuns {
+    std::vector<EventQueue::Run> runs;
+    std::size_t ready = 0;
+  };
+  std::vector<BroadcastRuns> broadcast_runs;
   obs::ProfileBreakdown profile;  ///< populated only under BFTSIM_PROFILING
 };
 

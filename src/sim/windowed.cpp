@@ -109,9 +109,6 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
 
   // One lane per partition replaces the serial lane, whose queue holds only
   // the fault timeline's timers — this driver applies those at barriers.
-  const std::size_t per_lane_reserve =
-      std::min(static_cast<std::size_t>(cfg.n) * cfg.n,
-               std::size_t{1} << 18) / lanes_n_ + 256;
   c_.lanes_.clear();
   for (std::uint32_t l = 0; l < lanes_n_; ++l) {
     auto lane = std::make_unique<Lane>();
@@ -119,8 +116,10 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
     c_.lane_arenas_.push_back(std::make_unique<Arena>());
     lane->arena = c_.lane_arenas_.back().get();
     lane->metrics = &lane->delta;
-    lane->queue.reserve(per_lane_reserve);
+    lane->queue.reserve(Controller::kQueueEntriesPerNode * cfg.n / lanes_n_ +
+                        256);
     lane->outbox.resize(lanes_n_);
+    lane->broadcast_runs.resize(lanes_n_);
     c_.lanes_.push_back(std::move(lane));
   }
   for (NodeId i = 0; i < cfg.n; ++i) c_.bind_lane(i, *c_.lanes_[i % lanes_n_]);
@@ -182,12 +181,18 @@ bool WindowedEngine::merge_window() {
     }
     lp->retired.clear();
   }
-  // 2. Publish cross-lane sends. Queue order is (at, key) with unique keys,
+  // 2. Publish cross-lane sends: each broadcast's sorted sub-run for a
+  // lane joins that lane's queue whole, as one cursor, and any other
+  // delivery as a run of one. Queue order is (at, key) with unique keys,
   // so insertion timing cannot affect pop order.
   for (auto& lp : lanes) {
     for (std::uint32_t dst_lane = 0; dst_lane < lanes_n_; ++dst_lane) {
+      EventQueue& queue = lanes[dst_lane]->queue;
+      Lane::BroadcastRuns& out = lp->broadcast_runs[dst_lane];
+      for (std::size_t i = 0; i < out.ready; ++i) queue.adopt(out.runs[i]);
+      out.ready = 0;
       for (const Keyed<MessageDelivery>& r : lp->outbox[dst_lane]) {
-        lanes[dst_lane]->queue.push_keyed(r.at, r.key, r.item);
+        queue.push_keyed(r.at, r.key, r.item);
       }
       lp->outbox[dst_lane].clear();
     }
@@ -238,7 +243,7 @@ RunResult WindowedEngine::run() {
   if (!within_budget) reason = TerminationReason::kEventBudget;
   std::uint64_t windows_parallel = 0;
   std::uint64_t windows_inline = 0;
-  std::uint64_t last_window_events = 0;  // the first window runs inline
+  std::uint64_t last_window_work = 0;  // the first window runs inline
   while (within_budget && !c_.stopped_) {
     // W0: the earliest pending instant across every lane and the fault
     // timeline — the same instant the serial engine would pop next.
@@ -292,8 +297,9 @@ RunResult WindowedEngine::run() {
     // that cadence by forcing a barrier every few thousand events. The
     // quota is a constant, so the event sequence stays deterministic.
     if (lookahead_ <= 0) cap = std::min<std::uint64_t>(cap, 4096);
-    const std::uint64_t events_before = c_.metrics_.events_processed();
-    if (lanes_n_ > 1 && last_window_events >= kInlineWindowEvents) {
+    const std::uint64_t work_before =
+        c_.metrics_.events_processed() + c_.metrics_.messages_sent();
+    if (lanes_n_ > 1 && last_window_work >= kInlineWindowWork) {
       parallel_for(*pool_, lanes_n_, [this, w1, cap](std::size_t l) {
         run_window(*c_.lanes_[l], w1, cap);
       });
@@ -305,7 +311,8 @@ RunResult WindowedEngine::run() {
       ++windows_inline;
     }
     within_budget = merge_window();
-    last_window_events = c_.metrics_.events_processed() - events_before;
+    last_window_work = c_.metrics_.events_processed() +
+                       c_.metrics_.messages_sent() - work_before;
     if (!within_budget) reason = TerminationReason::kEventBudget;
   }
   if (c_.stopped_) reason = TerminationReason::kDecided;

@@ -86,12 +86,15 @@ class WindowedEngine {
   [[nodiscard]] bool merge_window();
 
   /// A window runs its lanes inline on the driver thread, not on the
-  /// pool, when the window before it processed fewer events than this:
-  /// below it, waking the pool and meeting at the barrier costs more than
-  /// the lanes' work. Short lookaheads (a 1 ms `min_ms` clamp) cut linear
-  /// protocols into thousands of windows of a few dozen events each. The
-  /// rule reads an event count, never the clock, and cannot change results.
-  static constexpr std::uint64_t kInlineWindowEvents = 256;
+  /// pool, when the window before it did less work than this, counting
+  /// each event processed and each message copy sent: below it, waking the
+  /// pool and meeting at the barrier costs more than the lanes' work.
+  /// Short lookaheads (a 1 ms `min_ms` clamp) cut linear protocols into
+  /// thousands of windows of a few dozen events each; copies count because
+  /// a window of a dozen deliveries that each answer with an n-copy
+  /// broadcast is heavy. The rule reads counters, never the clock, and
+  /// cannot change results.
+  static constexpr std::uint64_t kInlineWindowWork = 256;
 
   Controller& c_;
   std::uint32_t lanes_n_ = 1;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -85,6 +86,72 @@ TEST(DaryHeapTest, WorksWithMoveOnlyElements) {
   std::sort(expected.begin(), expected.end());
   for (const int v : expected) EXPECT_EQ(*heap.pop(), v);
   EXPECT_TRUE(heap.empty());
+}
+
+TEST(DaryHeapTest, ReplaceTopKeepsHeapOrder) {
+  DaryHeap<int> heap;
+  for (const int v : {5, 1, 9, 3, 7}) heap.push(v);
+  heap.replace_top(8);  // 1 -> 8
+  EXPECT_EQ(heap.size(), 5u);
+  EXPECT_EQ(heap.top(), 3);
+  heap.replace_top(0);  // smaller than everything: stays on top
+  EXPECT_EQ(heap.top(), 0);
+  for (const int v : {0, 5, 7, 8, 9}) EXPECT_EQ(heap.pop(), v);
+  EXPECT_TRUE(heap.empty());
+}
+
+// Property: merging sorted runs through replace_top (the event queue's run
+// cursors) pops exactly the sorted order of every run's elements, and
+// random replacements keep the heap equal to a reference multiset.
+TEST(DaryHeapProperty, ReplaceTopMergesSortedRuns) {
+  std::mt19937_64 rng(11);
+  std::vector<std::vector<int>> runs(40);
+  std::vector<int> all;
+  for (auto& run : runs) {
+    run.resize(rng() % 30 + 1);
+    for (int& v : run) v = static_cast<int>(rng() % 500);
+    std::sort(run.begin(), run.end());
+    all.insert(all.end(), run.begin(), run.end());
+  }
+  std::sort(all.begin(), all.end());
+  // A cursor is (head value, run index, position).
+  using Cursor = std::tuple<int, std::size_t, std::size_t>;
+  struct Earlier {
+    bool operator()(const Cursor& a, const Cursor& b) const noexcept {
+      return a < b;
+    }
+  };
+  DaryHeap<Cursor, 4, Earlier> heap;
+  for (std::size_t r = 0; r < runs.size(); ++r) heap.push({runs[r][0], r, 0});
+  std::vector<int> merged;
+  while (!heap.empty()) {
+    const auto [value, r, pos] = heap.top();
+    merged.push_back(value);
+    if (pos + 1 < runs[r].size()) {
+      heap.replace_top({runs[r][pos + 1], r, pos + 1});
+    } else {
+      (void)heap.pop();
+    }
+  }
+  EXPECT_EQ(merged, all);
+
+  DaryHeap<int> churn;
+  std::vector<int> reference;
+  for (int i = 0; i < 2000; ++i) {
+    const int v = static_cast<int>(rng() % 1000);
+    if (churn.empty() || rng() % 3 == 0) {
+      churn.push(v);
+      reference.push_back(v);
+    } else {
+      reference.erase(std::min_element(reference.begin(), reference.end()));
+      churn.replace_top(v);
+      reference.push_back(v);
+    }
+    ASSERT_EQ(churn.top(),
+              *std::min_element(reference.begin(), reference.end()));
+  }
+  std::sort(reference.begin(), reference.end());
+  for (const int v : reference) EXPECT_EQ(churn.pop(), v);
 }
 
 // Property: over 10k randomized events with heavy timestamp ties, the pop

@@ -106,6 +106,35 @@ class SelfNode final : public Node {
   void on_timer(const TimerEvent&, Context&) override {}
 };
 
+/// Node 0 arms a timer due at the instant node 1's broadcast reaches it
+/// (run with a constant delay of the same length). The timer is scheduled
+/// first, so the serial engine must fire it first: a broadcast copy takes
+/// its queue position when sent, like any other event. Earlier timers
+/// put the queue's sequence numbers ahead of message ids, so keying
+/// copies by message id would flip the order. Node 0 decides 1 when the
+/// timer came first and 2 when the message did.
+class TieNode final : public Node {
+ public:
+  void on_start(Context& ctx) override {
+    if (ctx.id() == 0) {
+      for (int i = 0; i < 3; ++i) (void)ctx.set_timer(from_ms(500), 0);
+      (void)ctx.set_timer(from_ms(10), 1);
+    } else if (ctx.id() == 1) {
+      ctx.broadcast(make_payload<HelloPayload>(ctx.id()),
+                    /*include_self=*/false);
+    }
+  }
+  void on_message(const Message&, Context& ctx) override {
+    if (ctx.id() == 0) ctx.report_decision(timer_fired_ ? 1 : 2);
+  }
+  void on_timer(const TimerEvent& ev, Context&) override {
+    if (ev.tag == 1) timer_fired_ = true;
+  }
+
+ private:
+  bool timer_fired_ = false;
+};
+
 /// Reroutes every intercepted message to the next node without touching
 /// payload or delay: pins the attacker_modified contract (rerouting counts
 /// as modification just like payload replacement).
@@ -150,6 +179,8 @@ void register_test_protocols() {
              simple([] { return std::make_unique<ProbeNode>(); })});
     reg.add({"test-self", NetModel::kAsync, byzantine_third, 1,
              simple([] { return std::make_unique<SelfNode>(); })});
+    reg.add({"test-tie", NetModel::kAsync, byzantine_third, 1,
+             simple([] { return std::make_unique<TieNode>(); })});
     AttackRegistry::instance().add("test-greedy", [](const SimConfig&) {
       return std::make_unique<GreedyCorruptor>();
     });
@@ -204,6 +235,15 @@ TEST(ControllerTest, TimersFireAtTheRightTimeAndCancelWorks) {
   EXPECT_TRUE(result.terminated);
   EXPECT_EQ(result.termination_time, from_ms(100));
   EXPECT_EQ(result.timers_fired, 8u);  // one per node; cancelled ones skipped
+}
+
+TEST(ControllerTest, BroadcastCopyTyingAnEarlierTimerPopsAfterIt) {
+  SimConfig cfg = test_config("test-tie", 4);
+  cfg.delay = DelaySpec::constant(10);
+  const RunResult result = run_simulation(cfg);
+  ASSERT_EQ(result.decisions.size(), 1u);
+  EXPECT_EQ(result.decisions.front().node, 0u);
+  EXPECT_EQ(result.decisions.front().value, 1u);
 }
 
 TEST(ControllerTest, HorizonStopsNonTerminatingRuns) {

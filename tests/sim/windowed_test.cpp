@@ -309,6 +309,30 @@ TEST(WindowedFaults, RandomWindowScenariosAreLaneCountInvariant) {
   expect_parallel_windows(cfg, kWideN);
 }
 
+// --- broadcast runs split across lanes ---------------------------------------
+
+// Every broadcast queues its copies for the sender's own lane as one run
+// and publishes the rest at the barrier as one sub-run per destination
+// lane. Here corrupted copies (runs of one pushed mid-fan-out) and a
+// link-down drop (a skipped key) cut the runs too. The result at 2..8
+// lanes must equal the one-lane run, where each broadcast is a single run.
+TEST(WindowedRuns, BroadcastSubRunsAcrossTwoToEightLanesMatchOneLane) {
+  SimConfig cfg = base_cfg();
+  cfg.n = 24;
+  cfg.decisions = 2;
+  cfg.faults.corruption.rate = 0.05;
+  cfg.faults.link_flaps.push_back(
+      {/*a=*/2, /*b=*/9, /*at_ms=*/0.0, /*duration_ms=*/5000.0});
+  const RunResult one = run_windowed(cfg, 1);
+  ASSERT_TRUE(one.terminated);
+  EXPECT_GT(one.messages_corrupted, 0u);
+  EXPECT_GT(one.messages_dropped, 0u);
+  for (std::uint32_t jobs = 2; jobs <= 8; ++jobs) {
+    SCOPED_TRACE("intra_jobs=" + std::to_string(jobs));
+    expect_identical(run_windowed(cfg, jobs), one);
+  }
+}
+
 // --- self-degradation end to end ----------------------------------------------
 
 TEST(WindowedDeterminism, ZeroLookaheadRunsServeOneLane) {

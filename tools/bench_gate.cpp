@@ -23,11 +23,12 @@
 // is stable even when the wall clock is not. Files without a scaling
 // section gate workloads only, so the two checks roll out independently.
 //
-// The current file's curve is also gated on its own shape, for protocols
-// whose per-event cost should not grow with n (hotstuff-ns): at the
-// largest n, events/sec must stay at or above a third of the n=64 row, and
-// bytes/node at or below the n=64 row. Both sides come from one run of
-// one machine, so this holds under --allow-thread-mismatch too.
+// The current file's curve is also gated on its own shape, per protocol
+// (kFlatScaling gives each limit and its origin): at the largest n,
+// events/sec may fall at most a set factor below the n=64 row, and
+// bytes/node may rise at most a set factor above it. Both sides come from
+// one run of one machine, so this holds under --allow-thread-mismatch
+// too.
 //
 // Thread-count honesty: every micro_engine record carries the machine's
 // actual "hardware_threads". When both files declare a thread count and
@@ -135,11 +136,26 @@ constexpr double kMinGatedBytesPerNode = 4096.0;
 /// only their memory side is gated.
 constexpr double kMinGatedWallSeconds = 0.1;
 
-/// Protocols whose scaling curve must stay flat: per-event cost and
-/// per-node memory independent of n (ROADMAP item 3's acceptance).
-constexpr const char* kFlatScalingProtocols[] = {"hotstuff-ns"};
-/// How far events/sec at the largest n may fall below the n=64 row.
-constexpr double kMaxFlatSlowdown = 3.0;
+/// A flat-curve rule: at the protocol's largest n, events/sec may be at
+/// most `max_slowdown` times below the n=64 row's, and bytes/node at most
+/// `max_bytes_ratio` times above it.
+struct FlatRule {
+  const char* protocol;
+  double max_slowdown;
+  double max_bytes_ratio;
+};
+constexpr FlatRule kFlatScaling[] = {
+    // Per-event cost and per-node memory independent of n.
+    {"hotstuff-ns", 3.0, 1.0},
+    // PBFT keeps O(n^2) copies in flight, so bytes/node grows with n. With
+    // one heap entry per broadcast, n=4096 measured 2.1-4.0x below n=64's
+    // events/sec and 18.7-22.5x its bytes/node over seven curves on a
+    // 4-vCPU VM. The limits add about 25% to the worst of those. n=64 is a
+    // 15-35 ms single shot, so the speed ratio is noisy: the one-heap-
+    // entry-per-copy queue read 3.6-9.8x. Its 30.5-32.9x bytes/node is
+    // what reliably trips this rule.
+    {"pbft", 5.0, 28.0},
+};
 constexpr std::int64_t kFlatBaseN = 64;
 
 /// Largest wall(4k)/wall(1k) a run-length curve may show unless the
@@ -344,7 +360,8 @@ int main(int argc, char** argv) {
     }
 
     // --- flat curves: largest n against the same run's n=64 row -----------
-    for (const char* protocol : kFlatScalingProtocols) {
+    for (const FlatRule& rule : kFlatScaling) {
+      const char* protocol = rule.protocol;
       const ScalePoint* base = nullptr;
       const ScalePoint* top = nullptr;
       for (const ScalePoint& p : scale_cur) {
@@ -357,31 +374,32 @@ int main(int argc, char** argv) {
       const double slowdown = top->events_per_sec > 0.0
                                   ? base->events_per_sec / top->events_per_sec
                                   : 0.0;
+      const double bytes_limit = rule.max_bytes_ratio * base->bytes_per_node;
       bool ok = true;
-      if (top->events_per_sec <= 0.0 || slowdown > kMaxFlatSlowdown) {
+      if (top->events_per_sec <= 0.0 || slowdown > rule.max_slowdown) {
         ok = false;
         ++regressions;
         std::printf("FAIL  flat  %-12s n=%-5lld %10.0f ev/s is %.2fx below "
                     "n=%lld (limit %.1fx)\n",
                     protocol, static_cast<long long>(top->n),
                     top->events_per_sec, slowdown,
-                    static_cast<long long>(kFlatBaseN), kMaxFlatSlowdown);
+                    static_cast<long long>(kFlatBaseN), rule.max_slowdown);
       }
-      if (top->bytes_per_node > base->bytes_per_node) {
+      if (top->bytes_per_node > bytes_limit) {
         ok = false;
         ++regressions;
         std::printf("FAIL  flat  %-12s n=%-5lld %8.0f bytes/node above "
-                    "n=%lld's %.0f\n",
+                    "%.1fx n=%lld's %.0f\n",
                     protocol, static_cast<long long>(top->n),
-                    top->bytes_per_node, static_cast<long long>(kFlatBaseN),
-                    base->bytes_per_node);
+                    top->bytes_per_node, rule.max_bytes_ratio,
+                    static_cast<long long>(kFlatBaseN), base->bytes_per_node);
       }
       if (ok) {
-        std::printf("OK    flat  %-12s n=%-5lld %.2fx below n=%lld ev/s, "
-                    "%.0f <= %.0f bytes/node\n",
+        std::printf("OK    flat  %-12s n=%-5lld %.2fx below n=%lld ev/s "
+                    "(limit %.1fx), %.0f <= %.0f bytes/node\n",
                     protocol, static_cast<long long>(top->n), slowdown,
-                    static_cast<long long>(kFlatBaseN), top->bytes_per_node,
-                    base->bytes_per_node);
+                    static_cast<long long>(kFlatBaseN), rule.max_slowdown,
+                    top->bytes_per_node, bytes_limit);
       }
     }
 
