@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -126,6 +127,13 @@ class Metrics {
   }
   [[nodiscard]] const std::vector<ViewRecord>& views() const noexcept {
     return views_;
+  }
+  /// Move the ordered records out, leaving them empty (end of run).
+  [[nodiscard]] std::vector<Decision> take_decisions() noexcept {
+    return std::exchange(decisions_, {});
+  }
+  [[nodiscard]] std::vector<ViewRecord> take_views() noexcept {
+    return std::exchange(views_, {});
   }
 
   /// Number of decisions reported so far by `node`.

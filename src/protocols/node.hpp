@@ -80,14 +80,15 @@ class Context {
   [[nodiscard]] virtual Rng& rng() noexcept = 0;
   [[nodiscard]] virtual const Vrf& vrf() const noexcept = 0;
   [[nodiscard]] virtual const Signer& signer() const noexcept = 0;
-  /// Run-scoped arena: everything allocated from it lives until the run's
+  /// Run-scoped arena: a raw Arena::allocate() block lives until the run's
   /// controller is destroyed. Protocol code normally reaches it through
   /// make_payload() below rather than directly.
   [[nodiscard]] virtual Arena& arena() noexcept = 0;
 
-  /// Constructs a payload of type T in the run arena. One bump allocation
-  /// covers the payload and its shared_ptr control block; broadcast fan-out
-  /// then shares that single allocation across all n-1 recipients. Prefer
+  /// Constructs a payload of type T in the run arena. One arena block
+  /// covers the payload and its shared_ptr control block, and returns to
+  /// the arena's free list when the last reference drops; broadcast
+  /// fan-out shares that single block across all n-1 recipients. Prefer
   /// this over the free make_payload() wherever a Context is in reach.
   template <typename T, typename... Args>
   [[nodiscard]] PayloadPtr make_payload(Args&&... args) {

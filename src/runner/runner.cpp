@@ -20,6 +20,16 @@ namespace bftsim {
 
 namespace {
 
+/// run_simulation for a result kept until its batch or sweep aggregates.
+/// A run's records leave its metrics by move, growth slack included; trim
+/// them, since a sweep keeps thousands of results alive at once.
+RunResult run_kept(const SimConfig& cfg) {
+  RunResult result = run_simulation(cfg);
+  result.decisions.shrink_to_fit();
+  result.views.shrink_to_fit();
+  return result;
+}
+
 /// Executes `repeats` runs of `base` with seeds base.seed + i. With more
 /// than one job the runs are fanned across a pool; result order is by
 /// repeat index either way.
@@ -29,7 +39,7 @@ std::vector<RunResult> run_batch(const SimConfig& base, std::size_t repeats,
   const auto one_run = [&base, &results](std::size_t i) {
     SimConfig cfg = base;
     cfg.seed = base.seed + i;
-    results[i] = run_simulation(cfg);
+    results[i] = run_kept(cfg);
   };
   if (jobs == 1) {
     for (std::size_t i = 0; i < repeats; ++i) one_run(i);
@@ -160,7 +170,7 @@ SweepOutcome run_sweep_guarded(const std::vector<SimConfig>& points,
       try {
         SimConfig cfg = watchdog.apply(points[p]);
         cfg.seed = points[p].seed + i;
-        slot.result = run_simulation(cfg);
+        slot.result = run_kept(cfg);
       } catch (const std::exception& e) {
         slot.failed = true;
         slot.error = e.what();
@@ -238,7 +248,7 @@ std::vector<Aggregate> run_sweep(const std::vector<SimConfig>& points,
                  const std::size_t i = flat % repeats;
                  SimConfig cfg = points[p];
                  cfg.seed = points[p].seed + i;
-                 results[p][i] = run_simulation(cfg);
+                 results[p][i] = run_kept(cfg);
                });
 
   std::vector<Aggregate> aggregates;

@@ -772,6 +772,12 @@ void Controller::start() {
   }
 }
 
+std::size_t Controller::arena_high_water() const noexcept {
+  std::size_t total = arena_.high_water();
+  for (const auto& arena : lane_arenas_) total += arena->high_water();
+  return total;
+}
+
 bool Controller::is_honest(NodeId id) const noexcept {
   return is_live(id) && !is_corrupt(id);
 }
@@ -945,8 +951,8 @@ RunResult Controller::make_result(TerminationReason reason) {
   result.gossip_relayed = metrics_.gossip_relayed();
   result.gossip_duplicates = metrics_.gossip_duplicates();
   result.warnings = warnings_;
-  result.decisions = metrics_.decisions();
-  result.views = metrics_.views();
+  result.decisions = metrics_.take_decisions();
+  result.views = metrics_.take_views();
   result.failstopped = failstopped_;
   result.corrupted = corrupted_order_;
   for (NodeId i = 0; i < cfg_.n; ++i) {

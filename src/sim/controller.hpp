@@ -47,6 +47,10 @@ class Controller {
 
   [[nodiscard]] const SimConfig& config() const noexcept { return cfg_; }
 
+  /// Peak live bytes of the run's arenas (payloads and certificate
+  /// bodies), summed over the serial arena and every lane's.
+  [[nodiscard]] std::size_t arena_high_water() const noexcept;
+
  protected:
   /// Network-delivery hook: schedules the delivery event for a message that
   /// passed the attacker with final `delay`. The default implementation

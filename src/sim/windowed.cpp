@@ -142,6 +142,9 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
 WindowedEngine::~WindowedEngine() = default;
 
 void WindowedEngine::run_window(Lane& ln, Time w1, std::uint64_t event_cap) {
+  // Payload blocks of other lanes' arenas released here wait on this
+  // lane's arena until the barrier (Arena::return_foreign).
+  const Arena::Home home(*ln.arena);
   std::uint64_t events = 0;
   while (!ln.queue.empty() && ln.queue.next_time() < w1 &&
          events < event_cap) {
@@ -174,12 +177,14 @@ bool WindowedEngine::apply_faults_at(Time w0) {
 
 bool WindowedEngine::merge_window() {
   auto& lanes = c_.lanes_;
-  // 1. Hand fully-released cross-lane envelopes back to their owners.
+  // 1. Hand fully-released cross-lane envelopes and payload blocks back to
+  // their owners.
   for (auto& lp : lanes) {
     for (const std::uint32_t handle : lp->retired) {
       lanes[handle >> Lane::kEnvShift]->store.recycle(handle & Lane::kEnvMask);
     }
     lp->retired.clear();
+    lp->arena->return_foreign();
   }
   // 2. Publish cross-lane sends: each broadcast's sorted sub-run for a
   // lane joins that lane's queue whole, as one cursor, and any other

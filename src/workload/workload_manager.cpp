@@ -155,7 +155,13 @@ WorkloadStats WorkloadManager::finalize(Time end) {
   WorkloadStats s;
   s.enabled = true;
   for (NodeState& ns : nodes_) {
-    advance_stream(ns, end);  // arrivals the run never got to propose
+    // Arrivals the run never got to propose: the same draws advance_stream
+    // would take, counted rather than stored.
+    while (spec_.open() && ns.next_arrival <= end) {
+      ++ns.submitted;
+      ++ns.pending_count;
+      ns.next_arrival += next_step(ns);
+    }
     s.submitted += ns.submitted;
     s.pending_end += ns.pending_count;
     s.empty_proposals += ns.empty_proposals;

@@ -13,7 +13,9 @@
 // closed-loop population of millions of clients costs O(groups), not
 // O(requests): the whole initial window is one group per node, and every
 // decided batch resubmits as one group. Open-loop arrivals have distinct
-// births and cost one group each, materialized lazily at propose time.
+// births and cost one group each, materialized lazily at propose time;
+// finalize only counts the arrivals no proposal took, so a stream its node
+// never proposes from costs nothing.
 #pragma once
 
 #include <cstdint>

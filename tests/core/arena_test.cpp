@@ -1,7 +1,8 @@
 // Arena allocator: alignment, chunk growth, oversized requests,
-// reset-reuse determinism, and the STL adapter (allocate_shared +
-// containers). The reset-reuse test is the load-bearing one: replaying an
-// identical allocation sequence at identical addresses is what keeps
+// reset-reuse determinism, size-class recycling (LIFO reuse, what is never
+// recycled, the cross-lane hand-back) and the STL adapter (allocate_shared
+// + containers). The reset-reuse test is the load-bearing one: replaying
+// an identical allocation sequence at identical addresses is what keeps
 // arena-backed runs deterministic run over run.
 #include "core/arena.hpp"
 
@@ -104,26 +105,102 @@ TEST(Arena, HighWaterSurvivesReset) {
   EXPECT_EQ(arena.high_water(), hw);  // 10 < 1000: no new high water
 }
 
+TEST(Arena, SameClassReuseIsLifoAndAligned) {
+  Arena arena;
+  // 20, 24 and 32 bytes share the 17..32-byte class.
+  void* a = arena.acquire(24, 8);
+  void* b = arena.acquire(20, 4);
+  void* c = arena.acquire(32, 16);
+  for (void* p : {a, b, c}) EXPECT_TRUE(aligned_to(p, Arena::kClassBytes));
+  const std::size_t live = arena.bytes_allocated();
+  EXPECT_EQ(live, 3 * 32u);
+  arena.release(a, 24, 8);
+  arena.release(b, 20, 4);
+  EXPECT_EQ(arena.bytes_allocated(), live - 2 * 32u);
+  EXPECT_EQ(arena.acquire(32, 16), b);  // last released, first reused
+  EXPECT_EQ(arena.acquire(17, 1), a);
+  EXPECT_EQ(arena.bytes_allocated(), live);
+  // Another class does not see this one's blocks.
+  arena.release(c, 32, 16);
+  EXPECT_NE(arena.acquire(48, 8), c);
+}
+
+TEST(Arena, OversizeAndOverAlignedBlocksAreNeverRecycled) {
+  Arena arena;
+  constexpr std::size_t kBig = Arena::kMaxRecycledBytes + 1;
+  void* big = arena.acquire(kBig, 8);
+  void* wide = arena.acquire(32, 64);
+  EXPECT_TRUE(aligned_to(wide, 64));
+  const std::size_t live = arena.bytes_allocated();
+  arena.release(big, kBig, 8);
+  arena.release(wide, 32, 64);
+  EXPECT_EQ(arena.bytes_allocated(), live);  // still resident
+  EXPECT_NE(arena.acquire(kBig, 8), big);
+  EXPECT_NE(arena.acquire(32, 64), wide);
+  // A largest-class block is recycled.
+  void* top = arena.acquire(Arena::kMaxRecycledBytes, 16);
+  arena.release(top, Arena::kMaxRecycledBytes, 16);
+  EXPECT_EQ(arena.acquire(Arena::kMaxRecycledBytes, 16), top);
+}
+
+TEST(Arena, ResetClearsTheFreeLists) {
+  Arena arena;
+  void* first = arena.acquire(64, 8);
+  void* second = arena.acquire(64, 8);
+  arena.release(second, 64, 8);
+  arena.reset();
+  // With the list emptied the request bumps from the first chunk's start
+  // instead of popping `second`.
+  EXPECT_EQ(arena.acquire(64, 8), first);
+  EXPECT_EQ(arena.acquire(64, 8), second);
+}
+
+TEST(Arena, ForeignReleasesWaitForReturnForeign) {
+  Arena owner;
+  Arena lane;
+  void* p = owner.acquire(40, 8);
+  const std::size_t live = owner.bytes_allocated();
+  {
+    const Arena::Home home(lane);
+    owner.release(p, 40, 8);  // on another lane's thread: parked on `lane`
+  }
+  EXPECT_EQ(owner.bytes_allocated(), live);
+  void* other = owner.acquire(40, 8);
+  EXPECT_NE(other, p);
+  owner.release(other, 40, 8);  // no home: straight to owner's list
+  EXPECT_EQ(owner.acquire(40, 8), other);
+  lane.return_foreign();
+  EXPECT_EQ(owner.bytes_allocated(), live);  // `other` live again, `p` not
+  EXPECT_EQ(owner.acquire(40, 8), p);
+  EXPECT_EQ(lane.bytes_allocated(), 0u);
+}
+
 TEST(ArenaAllocator, WorksWithAllocateShared) {
   Arena arena;
   struct Payload {
+    virtual ~Payload() = default;
     std::uint64_t a;
     std::uint64_t b;
+    Payload(std::uint64_t x, std::uint64_t y) : a(x), b(y) {}
   };
   std::shared_ptr<const Payload> kept;
   {
     auto p = std::allocate_shared<Payload>(ArenaAllocator<Payload>(&arena),
-                                           Payload{7, 9});
+                                           7, 9);
     kept = std::move(p);
   }
   EXPECT_EQ(kept->a, 7u);
   EXPECT_EQ(kept->b, 9u);
   EXPECT_GT(arena.bytes_allocated(), 0u);
-  // Releasing the last reference runs the destructor; deallocate is a
-  // no-op, so bytes_allocated does not shrink.
-  const std::size_t before = arena.bytes_allocated();
+  // Releasing the last reference runs the destructor and returns the
+  // payload's block (control block included) to its free list.
+  const Payload* old = kept.get();
   kept.reset();
-  EXPECT_EQ(arena.bytes_allocated(), before);
+  EXPECT_EQ(arena.bytes_allocated(), 0u);
+  const auto again = std::allocate_shared<Payload>(
+      ArenaAllocator<Payload>(&arena), 1, 2);
+  EXPECT_EQ(again.get(), old);
+  EXPECT_EQ(again->a, 1u);
 }
 
 TEST(ArenaAllocator, WorksAsContainerAllocator) {

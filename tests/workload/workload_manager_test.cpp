@@ -5,7 +5,12 @@
 // for duplicate / unmatched decides.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/types.hpp"
@@ -257,6 +262,88 @@ TEST(WorkloadManagerTest, FinalizeCountsArrivalsUpToEnd) {
   const WorkloadStats stats = m.finalize(from_ms(50));
   EXPECT_EQ(stats.submitted, 50u);
   EXPECT_EQ(stats.pending_end, 50u);
+}
+
+TEST(WorkloadManagerTest, FinalizeCountsUnproposedStreamsLikeMaterializing) {
+  // Only node 0 proposes (every 50 ms up to 1 s, max_wait 0, every other
+  // batch decided). The reference materializes every node's arrivals as
+  // births from the documented stream: one fork of the workload RNG per
+  // node in node order, a mean interarrival of n / rate, rounded to whole
+  // Time units and at least one.
+  constexpr std::uint32_t kNodes = 5;
+  constexpr std::uint32_t kMaxBatch = 8;
+  constexpr Time kLastPropose = from_ms(1000);
+  for (const auto arrival :
+       {WorkloadSpec::Arrival::kPoisson, WorkloadSpec::Arrival::kFixed}) {
+    for (const Time end : {kLastPropose, from_ms(1000.5), from_ms(2500),
+                           from_ms(10000)}) {
+      WorkloadSpec spec = open_spec(2000.0, kMaxBatch);
+      spec.arrival = arrival;
+      WorkloadManager m(spec, kNodes, Rng(23));
+
+      Rng seed(23);
+      const double mean_us = kNodes * 1e6 / spec.rate_rps;
+      struct Stream {
+        Rng rng;
+        Time next = 0;
+        std::deque<Time> births;
+      };
+      std::vector<Stream> streams;
+      const auto step = [&](Stream& st) {
+        const double sample = arrival == WorkloadSpec::Arrival::kPoisson
+                                  ? st.rng.exponential(mean_us)
+                                  : mean_us;
+        return std::max<Time>(1, static_cast<Time>(std::llround(sample)));
+      };
+      std::uint64_t want_submitted = 0;
+      const auto materialize = [&](Stream& st, Time upto) {
+        for (; st.next <= upto; st.next += step(st)) {
+          st.births.push_back(st.next);
+          ++want_submitted;
+        }
+      };
+      for (NodeId i = 0; i < kNodes; ++i) {
+        streams.push_back(Stream{seed.fork(i), 0, {}});
+        streams.back().next = step(streams.back());
+      }
+
+      std::uint64_t want_batched_undecided = 0;
+      bool decide = false;
+      for (Time now = from_ms(50); now <= kLastPropose; now += from_ms(50)) {
+        const ProposalBatch b = m.on_propose(0, 1, kFresh, now);
+        materialize(streams[0], now);
+        const std::size_t take =
+            std::min<std::size_t>(streams[0].births.size(), kMaxBatch);
+        streams[0].births.erase(streams[0].births.begin(),
+                                streams[0].births.begin() +
+                                    static_cast<std::ptrdiff_t>(take));
+        ASSERT_EQ(b.requests, take);
+        if (take == 0) continue;
+        if (decide) {
+          m.on_decide(b.value, now);
+        } else {
+          want_batched_undecided += take;
+        }
+        decide = !decide;
+      }
+      const WorkloadStats got = m.finalize(end);
+
+      std::uint64_t want_pending = 0;
+      for (Stream& st : streams) {
+        materialize(st, end);
+        want_pending += st.births.size();
+      }
+      SCOPED_TRACE(testing::Message()
+                   << (arrival == WorkloadSpec::Arrival::kPoisson ? "poisson"
+                                                                  : "fixed")
+                   << " end=" << end);
+      EXPECT_EQ(got.submitted, want_submitted);
+      EXPECT_EQ(got.pending_end, want_pending);
+      EXPECT_EQ(got.batched_undecided, want_batched_undecided);
+      EXPECT_GT(got.batched, 0u);
+      EXPECT_GT(want_pending, streams[0].births.size());  // others' streams
+    }
+  }
 }
 
 }  // namespace
