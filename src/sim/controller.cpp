@@ -284,8 +284,12 @@ struct Controller::Transmission {
   /// Broadcast fan-out: copies share one envelope whose base_id is the id
   /// the first destination in the loop gets (dropped or not), so
   /// per-destination ids derive by position exactly as they were drawn.
+  /// Likewise a copy's ordering key is base_key plus its position: the
+  /// lane engine's keys are its ids, the serial engine reserves n - 1
+  /// sequence numbers up front.
   bool fan_out = false;
   std::uint64_t base_id = 0;
+  std::uint64_t base_key = 0;
   std::uint32_t shared_env = kNoEnvelope;
   std::uint64_t gossip_id = 0;  ///< nonzero for gossip copies
 };
@@ -316,21 +320,21 @@ void Controller::broadcast(Lane& ln, NodeId src, PayloadPtr payload,
   } else {
     tx.fan_out = true;
     tx.base_id = next_id(src);
+    tx.base_key = lane_mode_ ? tx.base_id : ln.queue.draw_seqs(cfg_.n - 1);
     for (NodeId dst = 0; dst < cfg_.n; ++dst) {
       if (dst != src) send_copy(ln, tx, src, dst);
     }
     // Close the fan-out's runs: the one for this lane joins its queue, the
-    // others wait for the barrier (WindowedEngine::merge_window).
-    for (Lane::BroadcastRuns& out : ln.broadcast_runs) {
-      if (out.ready == out.runs.size() || out.runs[out.ready].entries.empty()) {
-        continue;
-      }
-      EventQueue::Run& run = out.runs[out.ready];
-      ln.queue.sort(run);
-      if (&out == &ln.broadcast_runs[ln.id]) {
-        ln.queue.adopt(run);
+    // others are sealed for the barrier (WindowedEngine::merge_window).
+    const EventQueue::RunHead head{ln.now, tx.base_key, tx.shared_env, src};
+    for (std::uint32_t to = 0; to < ln.broadcast_runs.size(); ++to) {
+      Lane::BroadcastRuns& out = ln.broadcast_runs[to];
+      if (out.build.empty()) continue;
+      if (to == ln.id) {
+        ln.queue.push_run(head, out.build);
       } else {
-        ++out.ready;
+        if (out.ready == out.runs.size()) out.runs.emplace_back();
+        ln.queue.seal(head, out.build, out.runs[out.ready++]);
       }
     }
   }
@@ -385,7 +389,7 @@ void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
   // event carries an 8-byte handle. Bit-identical to the hook path: a
   // passive attacker's attack() observes and changes nothing.
   std::uint32_t env;
-  bool in_run = false;
+  bool shared = false;
   if (faults_ != nullptr &&
       (lane_mode_ ? faults_->maybe_corrupt_from(ln.now, from)
                   : faults_->maybe_corrupt(ln.now))) {
@@ -402,7 +406,7 @@ void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
     }
     env = tx.shared_env;
     ln.store.add_pending(env & Lane::kEnvMask, 1);
-    in_run = true;
+    shared = true;
   } else {
     env = make_env(ln, tx.payload, ln.now, id, tx.src, false, 1);
   }
@@ -413,7 +417,21 @@ void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
       wan_ != nullptr && wan_->bandwidth_enabled()
           ? wan_->delivery_time(from, dst, tx.wire, ln.now + tx.extra, sampled)
           : ln.now + std::max<Time>(tx.extra + sampled, 0);
-  enqueue(ln, at, id, MessageDelivery{env, dst}, in_run);
+  if (!tx.fan_out) {
+    enqueue(ln, at, copy_key(ln, id), MessageDelivery{env, dst});
+    return;
+  }
+  // A fan-out copy is keyed by its position; a shared-envelope copy joins
+  // its broadcast's run for the destination's lane, which broadcast()
+  // closes after the fan-out.
+  const std::uint32_t pos = dst - (dst > from ? 1 : 0);
+  assert(!lane_mode_ || id == tx.base_key + pos);
+  if (shared && EventQueue::fits_run(ln.now, at)) {
+    ln.broadcast_runs[lane_for(dst).id].build.push_back(
+        RunEntry{static_cast<std::uint32_t>(at - ln.now), pos});
+    return;
+  }
+  enqueue(ln, at, tx.base_key + pos, MessageDelivery{env, dst});
 }
 
 void Controller::intercept(Lane& ln, const Transmission& tx, NodeId dst,
@@ -473,24 +491,11 @@ void Controller::deliver_self(Lane& ln, NodeId id, PayloadPtr payload) {
   const std::uint64_t msg_id = draw_id(id);
   const std::uint32_t env =
       make_env(ln, std::move(payload), ln.now, msg_id, id, false, 1);
-  enqueue(ln, ln.now, msg_id, MessageDelivery{env, id});
+  enqueue(ln, ln.now, copy_key(ln, msg_id), MessageDelivery{env, id});
 }
 
 void Controller::enqueue(Lane& ln, Time at, std::uint64_t key,
-                         MessageDelivery d, bool in_run) {
-  if (in_run) {
-    // The broadcast's run for the destination's lane; broadcast() closes
-    // it after the fan-out. The serial engine keys it by insertion order.
-    Lane::BroadcastRuns& out = ln.broadcast_runs[lane_for(d.dst).id];
-    if (out.ready == out.runs.size()) out.runs.emplace_back();
-    EventQueue::append(out.runs[out.ready], at,
-                       lane_mode_ ? key : ln.queue.draw_seq(), d.env, d.dst);
-    return;
-  }
-  if (!lane_mode_) {
-    ln.queue.push(at, d);
-    return;
-  }
+                         MessageDelivery d) {
   Lane& to = lane_for(d.dst);
   if (&to == &ln) {
     ln.queue.push_keyed(at, key, d);
@@ -648,7 +653,8 @@ void Controller::deliver_now(const Message& msg) {
       // lane-count-invariant.
       const std::uint32_t env = make_env(ln, msg.payload, msg.send_time,
                                          msg.id, msg.src, false, 1);
-      enqueue(ln, free_at, lane_mode_ ? draw_key(msg.dst) : 0,
+      enqueue(ln, free_at,
+              lane_mode_ ? draw_key(msg.dst) : ln.queue.draw_seq(),
               MessageDelivery{env, msg.dst});
       return;
     }
@@ -775,6 +781,17 @@ void Controller::start() {
 std::size_t Controller::arena_high_water() const noexcept {
   std::size_t total = arena_.high_water();
   for (const auto& arena : lane_arenas_) total += arena->high_water();
+  return total;
+}
+
+EventQueue::RunMemory Controller::queue_run_peak() const noexcept {
+  EventQueue::RunMemory total;
+  for (const auto& lane : lanes_) {
+    const EventQueue::RunMemory peak = lane->queue.run_memory_peak();
+    total.bytes += peak.bytes;
+    total.copies += peak.copies;
+    total.runs += peak.runs;
+  }
   return total;
 }
 

@@ -51,6 +51,10 @@ class Controller {
   /// bodies), summed over the serial arena and every lane's.
   [[nodiscard]] std::size_t arena_high_water() const noexcept;
 
+  /// Event-queue run storage at each lane's peak, summed over the lanes
+  /// (see EventQueue::run_memory_peak).
+  [[nodiscard]] EventQueue::RunMemory queue_run_peak() const noexcept;
+
  protected:
   /// Network-delivery hook: schedules the delivery event for a message that
   /// passed the attacker with final `delay`. The default implementation
@@ -105,13 +109,15 @@ class Controller {
                  std::uint64_t id, Time sampled);
   void deliver_self(Lane& ln, NodeId id, PayloadPtr payload);
   void inject_message(Message msg, Time delay);
-  /// Schedules a delivery: by insertion order on the serial engine, by
-  /// `key` on the lane engine (via the outbox when `d.dst` lives on
-  /// another lane). An `in_run` copy joins its broadcast's run for the
-  /// destination's lane (Lane::broadcast_runs), which broadcast() closes after
-  /// its fan-out; any other delivery is a run of one.
-  void enqueue(Lane& ln, Time at, std::uint64_t key, MessageDelivery d,
-               bool in_run = false);
+  /// Schedules a delivery under ordering key `key` (via the outbox when
+  /// `d.dst` lives on another lane).
+  void enqueue(Lane& ln, Time at, std::uint64_t key, MessageDelivery d);
+  /// The ordering key of a copy with message id `id` that is not part of a
+  /// broadcast fan-out: the id on the lane engine, the next insertion
+  /// sequence number on the serial engine.
+  [[nodiscard]] std::uint64_t copy_key(Lane& ln, std::uint64_t id) noexcept {
+    return lane_mode_ ? id : ln.queue.draw_seq();
+  }
   [[nodiscard]] std::uint32_t make_env(Lane& ln, PayloadPtr payload,
                                        Time send_time, std::uint64_t base_id,
                                        NodeId src, bool broadcast,

@@ -69,11 +69,13 @@ struct Lane {
   /// Cross-lane sends buffered until the barrier, indexed by dest lane.
   std::vector<std::vector<Keyed<MessageDelivery>>> outbox;
   /// A broadcast's copies as one run per destination lane, indexed by it.
-  /// `runs[ready]`, when not empty, is the open broadcast's. The run for
-  /// this lane joins its queue as the fan-out ends; for another lane, the
-  /// first `ready` runs are sorted and wait for the barrier's
-  /// EventQueue::adopt(). The rest are drained blocks kept for reuse.
+  /// `build` gathers the open broadcast's copies in position order. As the
+  /// fan-out ends, the run for this lane joins its queue and a run for
+  /// another lane is sealed into `runs[ready++]`: the first `ready` runs
+  /// wait for the barrier's EventQueue::adopt(), the rest are emptied ones
+  /// kept for reuse.
   struct BroadcastRuns {
+    std::vector<RunEntry> build;
     std::vector<EventQueue::Run> runs;
     std::size_t ready = 0;
   };

@@ -194,7 +194,9 @@ bool WindowedEngine::merge_window() {
     for (std::uint32_t dst_lane = 0; dst_lane < lanes_n_; ++dst_lane) {
       EventQueue& queue = lanes[dst_lane]->queue;
       Lane::BroadcastRuns& out = lp->broadcast_runs[dst_lane];
-      for (std::size_t i = 0; i < out.ready; ++i) queue.adopt(out.runs[i]);
+      for (std::size_t i = 0; i < out.ready; ++i) {
+        queue.adopt(out.runs[i], lp->queue);
+      }
       out.ready = 0;
       for (const Keyed<MessageDelivery>& r : lp->outbox[dst_lane]) {
         queue.push_keyed(r.at, r.key, r.item);

@@ -333,6 +333,30 @@ TEST(WindowedRuns, BroadcastSubRunsAcrossTwoToEightLanesMatchOneLane) {
   }
 }
 
+// Per-lane runs that span several 64-entry chunks: at n = 300 a
+// broadcast's run for one of two, three or four lanes has 75 to 150
+// copies (eight lanes give runs of one chunk). The sending lane seals each
+// into its own chunks; the destination lane adopts them at the barrier and
+// hands back as many free ones. The trace is fingerprinted through a
+// binary sink that keeps nothing, since the in-memory trace of a run this
+// size would take tens of megabytes.
+TEST(WindowedRuns, MultiChunkSubRunsAcrossTwoToEightLanesMatchOneLane) {
+  SimConfig cfg = base_cfg();
+  cfg.n = 300;
+  cfg.decisions = 1;
+  cfg.obs.sink = TraceSinkKind::kBinary;
+  cfg.obs.trace_path = "/dev/null";
+  const RunResult one = run_windowed(cfg, 1);
+  ASSERT_TRUE(one.terminated);
+  EXPECT_GT(one.trace_records, 0u);
+  for (const std::uint32_t jobs : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE("intra_jobs=" + std::to_string(jobs));
+    const RunResult lanes = run_windowed(cfg, jobs);
+    expect_identical(lanes, one);
+    EXPECT_GT(lanes.profile.windows_parallel, 0u);
+  }
+}
+
 // --- self-degradation end to end ----------------------------------------------
 
 TEST(WindowedDeterminism, ZeroLookaheadRunsServeOneLane) {
