@@ -1,7 +1,6 @@
 #include "adversary/damage.hpp"
 
 #include <cstdio>
-#include <unordered_set>
 
 #include "core/config_check.hpp"
 #include "explore/oracles.hpp"
@@ -64,31 +63,10 @@ DamageReport DamageReport::from_json(const json::Value& v,
 
 std::optional<double> quorum_slack(const SimConfig& cfg,
                                    const RunResult& result) {
-  const auto rule = explore::certificate_rule(cfg.protocol, cfg.n);
-  if (!rule || result.decisions.empty() || result.trace.empty()) {
-    return std::nullopt;
-  }
-
-  const std::unordered_set<NodeId> honest(result.honest.begin(),
-                                          result.honest.end());
-  bool found = false;
-  Time first_decide = 0;
-  for (const Decision& d : result.decisions) {
-    if (honest.count(d.node) == 0) continue;
-    if (!found || d.at < first_decide) first_decide = d.at;
-    found = true;
-  }
-  if (!found) return std::nullopt;
-
-  std::unordered_set<NodeId> senders;
-  for (const TraceRecord& rec : result.trace.records()) {
-    if (rec.kind == TraceKind::kSend && rec.at <= first_decide &&
-        rec.type == rule->vote_type) {
-      senders.insert(rec.a);
-    }
-  }
-  return static_cast<double>(senders.size()) -
-         static_cast<double>(rule->min_senders);
+  const auto witness = explore::certificate_witness(cfg, result);
+  if (!witness) return std::nullopt;
+  return static_cast<double>(witness->senders) -
+         static_cast<double>(witness->rule.min_senders);
 }
 
 DamageReport compute_damage(const SimConfig& attacked_cfg,

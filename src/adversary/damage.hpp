@@ -58,10 +58,8 @@ struct DamageReport {
                                               const std::string& path);
 };
 
-/// Certificate sender slack of `result`: distinct senders of the
-/// protocol's vote-type messages on the wire by the first honest decide,
-/// minus the certificate minimum. nullopt when the protocol has no fixed
-/// vote quorum, the run recorded no trace, or no honest node decided.
+/// Certificate sender slack of `result`: explore::certificate_witness's
+/// distinct vote senders minus the certificate minimum (nullopt with it).
 [[nodiscard]] std::optional<double> quorum_slack(const SimConfig& cfg,
                                                  const RunResult& result);
 
@@ -74,7 +72,7 @@ struct DamageReport {
 
 /// The attack-free twin of an attacked config: same everything, with
 /// `attack`/`attack_params` cleared. The baseline run every damage
-/// comparison and every reproducer replay uses.
+/// comparison and every damage finding's replay uses.
 [[nodiscard]] SimConfig baseline_of(SimConfig attacked_cfg);
 
 }  // namespace bftsim::adversary

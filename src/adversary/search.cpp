@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/thread_pool.hpp"
+#include "explore/fan_out.hpp"
 #include "explore/shrink.hpp"
 #include "protocols/registry.hpp"
 #include "sim/simulation.hpp"
@@ -13,16 +14,6 @@
 namespace bftsim::adversary {
 
 namespace {
-
-/// One evaluated candidate: its lattice point and the run products needed
-/// to rank it and (for the incumbent) to seed the reproducer.
-struct Eval {
-  ParamVector pv;
-  DamageReport damage;
-  std::uint64_t attacked_fingerprint = 0;
-  std::uint64_t attacked_records = 0;
-  bool failed = false;
-};
 
 [[nodiscard]] SimConfig attacked_config(const SimConfig& base,
                                         const AttackSpace& space,
@@ -33,15 +24,9 @@ struct Eval {
   return cfg;
 }
 
-/// Products of the shrink predicate's accepted probe, captured on the side
-/// (shrink_config only tracks configs).
-struct AcceptedProbe {
-  DamageReport damage;
-  std::uint64_t attacked_fingerprint = 0;
-  std::uint64_t attacked_records = 0;
-  std::uint64_t baseline_fingerprint = 0;
-  std::uint64_t baseline_records = 0;
-};
+[[nodiscard]] double score_of(const explore::Evidence& evidence) {
+  return std::get<DamageReport>(evidence.verdict).score;
+}
 
 }  // namespace
 
@@ -65,7 +50,7 @@ SimConfig search_base_config(const std::string& protocol,
 
 json::Value SearchReport::to_json() const {
   json::Object o;
-  o["schema"] = "bftsim-adversary-search-v1";
+  o["schema"] = "bftsim-adversary-search-v2";
   o["seed"] = seed;
   json::Array cells;
   for (const WorstCase& w : worst) {
@@ -75,7 +60,7 @@ json::Value SearchReport::to_json() const {
     c["params"] = w.params;
     c["damage"] = w.damage.to_json();
     c["evaluations"] = w.evaluations;
-    if (w.has_reproducer) c["reproducer"] = w.reproducer.to_json();
+    if (w.finding) c["finding"] = w.finding->to_json();
     cells.emplace_back(json::Value{std::move(c)});
   }
   o["worst"] = json::Value{std::move(cells)};
@@ -97,7 +82,7 @@ std::string SearchReport::table() const {
                   w.protocol.c_str(), w.attack.c_str(), w.damage.score,
                   w.damage.describe().c_str());
     out += line;
-    if (w.has_reproducer) {
+    if (w.finding) {
       out += "  params: " + w.params.dump() + '\n';
     }
   }
@@ -122,8 +107,8 @@ SearchReport run_search(const SearchOptions& options) {
     for (const AttackSpace& space : attack_spaces(protocol, base)) {
       const std::string cell = protocol + "/" + space.attack;
       std::set<ParamVector> seen;
-      Eval incumbent;
-      bool have_incumbent = false;
+      ParamVector incumbent_pv;
+      std::optional<explore::Evidence> incumbent;
       std::uint64_t evaluations = 0;
 
       // Evaluates a candidate batch on the pool; slots fold up in index
@@ -134,25 +119,20 @@ SearchReport run_search(const SearchOptions& options) {
         for (const ParamVector& pv : batch) {
           if (seen.insert(pv).second) fresh.push_back(pv);
         }
-        std::vector<Eval> slots(fresh.size());
-        parallel_for(pool, fresh.size(), [&](std::size_t i) {
-          slots[i].pv = fresh[i];
-          try {
-            const SimConfig cfg = attacked_config(base, space, fresh[i]);
-            const RunResult result = run_simulation(cfg);
-            slots[i].damage = compute_damage(cfg, baseline, result);
-            slots[i].attacked_fingerprint = result.trace_fingerprint;
-            slots[i].attacked_records = result.trace_records;
-          } catch (const std::exception&) {
-            slots[i].failed = true;
-          }
+        auto slots = explore::fan_out(pool, fresh.size(), [&](std::size_t i) {
+          const SimConfig cfg = attacked_config(base, space, fresh[i]);
+          const RunResult result = run_simulation(cfg);
+          return explore::Evidence{
+              compute_damage(cfg, baseline, result),
+              {{result.trace_fingerprint, result.trace_records},
+               {baseline.trace_fingerprint, baseline.trace_records}}};
         });
         evaluations += fresh.size();
-        for (Eval& slot : slots) {
-          if (slot.failed) continue;
-          if (!have_incumbent || slot.damage.score > incumbent.damage.score) {
-            incumbent = std::move(slot);
-            have_incumbent = true;
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+          if (!slots[i].value) continue;
+          if (!incumbent || score_of(*slots[i].value) > score_of(*incumbent)) {
+            incumbent = std::move(slots[i].value);
+            incumbent_pv = fresh[i];
           }
         }
       };
@@ -166,15 +146,15 @@ SearchReport run_search(const SearchOptions& options) {
       }
       run_batch(batch);
       for (std::uint64_t round = 1; round <= options.rounds; ++round) {
-        if (!have_incumbent) break;
-        batch = neighbors(space, incumbent.pv);
+        if (!incumbent) break;
+        batch = neighbors(space, incumbent_pv);
         for (std::uint64_t i = 0; i < options.grid / 2; ++i) {
           batch.push_back(draw_candidate(space, options.seed, round, i));
         }
         run_batch(batch);
       }
 
-      if (!have_incumbent) {
+      if (!incumbent) {
         report.refused.push_back(cell + ": no candidate evaluated cleanly");
         continue;
       }
@@ -182,73 +162,52 @@ SearchReport run_search(const SearchOptions& options) {
       WorstCase worst;
       worst.protocol = protocol;
       worst.attack = space.attack;
-      worst.params = params_of(space, incumbent.pv);
-      worst.damage = incumbent.damage;
+      worst.params = params_of(space, incumbent_pv);
+      worst.damage = std::get<DamageReport>(incumbent->verdict);
       worst.evaluations = evaluations;
 
-      if (incumbent.damage.score > 0.0) {
+      const double target = worst.damage.score;
+      if (target > 0.0) {
         // Shrink the winning config while its score stays at least the
         // winning score. Every probe recomputes its own baseline (shrink
         // transformations change n / delay / horizon, so the shared one no
         // longer matches).
-        const SimConfig worst_cfg = attacked_config(base, space, incumbent.pv);
-        const double target = incumbent.damage.score;
-        AcceptedProbe accepted;
+        explore::Finding start;
+        start.id = "advsearch-" + std::to_string(options.seed) + "/" + cell;
+        start.seed = options.seed;
+        start.config = attacked_config(base, space, incumbent_pv);
+        start.evidence = std::move(*incumbent);
         explore::ShrinkPolicy policy;
         policy.keep_attack = true;
-        policy.skip_horizon = incumbent.damage.stalled;
-        policy.max_probes = options.shrink_runs;
-        const explore::ConfigShrink shrunk = explore::shrink_config(
-            worst_cfg,
-            [&](const SimConfig& candidate) {
-              const RunResult b = run_simulation(baseline_of(candidate));
-              const RunResult a = run_simulation(candidate);
-              const DamageReport d = compute_damage(candidate, b, a);
-              if (d.score < target) return false;
-              accepted = AcceptedProbe{d, a.trace_fingerprint, a.trace_records,
-                                       b.trace_fingerprint, b.trace_records};
-              return true;
+        policy.skip_horizon = worst.damage.stalled;
+        policy.max_runs = options.shrink_runs;
+        explore::Finding finding = explore::shrink_config(
+            std::move(start),
+            [target](const SimConfig& candidate)
+                -> std::optional<explore::Evidence> {
+              explore::Evidence evidence = explore::damage_evidence(candidate);
+              if (score_of(evidence) < target) return std::nullopt;
+              return evidence;
             },
             policy);
+        finding.shrink_runs *= 2;  // two simulations per probe
 
-        AdvReproducer repro;
-        repro.id = "advsearch-" + std::to_string(options.seed) + "/" + cell;
-        repro.search_seed = options.seed;
-        repro.protocol = protocol;
-        repro.attack = space.attack;
-        repro.config = shrunk.config;
-        repro.shrink_steps = shrunk.steps;
-        repro.shrink_runs = shrunk.probes * 2;  // two simulations per probe
-        if (shrunk.steps > 0) {
-          repro.damage = accepted.damage;
-          repro.attacked_fingerprint = accepted.attacked_fingerprint;
-          repro.attacked_records = accepted.attacked_records;
-          repro.baseline_fingerprint = accepted.baseline_fingerprint;
-          repro.baseline_records = accepted.baseline_records;
-        } else {
-          repro.damage = incumbent.damage;
-          repro.attacked_fingerprint = incumbent.attacked_fingerprint;
-          repro.attacked_records = incumbent.attacked_records;
-          repro.baseline_fingerprint = baseline.trace_fingerprint;
-          repro.baseline_records = baseline.trace_records;
-        }
-
-        // The gate the issue demands: a worst case only counts when its
-        // reproducer replays with the exact recorded score. Anything else
-        // means a determinism bug and must be surfaced, not tabulated.
-        const AdvReplayOutcome replay = replay_adv_reproducer(repro);
+        // A worst case only counts when its finding replays with the exact
+        // recorded score. Anything else means a determinism bug and must
+        // be surfaced, not tabulated.
+        const explore::Replay replay = finding.replay();
         if (!replay.ok()) {
           report.refused.push_back(
               cell + ": reproducer replay diverged (score " +
-              json::Value{replay.damage.score}.dump() + " vs recorded " +
-              json::Value{repro.damage.score}.dump() + ")");
+              json::Value{score_of(replay.evidence)}.dump() +
+              " vs recorded " + json::Value{score_of(finding.evidence)}.dump() +
+              ")");
           continue;
         }
 
-        worst.params = repro.config.attack_params;
-        worst.damage = repro.damage;
-        worst.has_reproducer = true;
-        worst.reproducer = std::move(repro);
+        worst.params = finding.config.attack_params;
+        worst.damage = std::get<DamageReport>(finding.evidence.verdict);
+        worst.finding = std::move(finding);
       }
 
       report.worst.push_back(std::move(worst));

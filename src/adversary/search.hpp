@@ -5,26 +5,27 @@
 // incumbent (neighbors on the parameter lattice plus fresh seeded draws),
 // scores each candidate with the damage objectives against the protocol's
 // attack-free baseline run, shrinks the per-cell worst case through the
-// ddmin core into a replayable reproducer, and replays that reproducer
-// before counting it: any cell whose replay does not reproduce the damage
-// score bit-exactly is refused and excluded from the table.
+// ddmin core into a replayable finding, and replays that finding before
+// counting it: any cell whose replay does not reproduce the damage score
+// bit-exactly is refused and excluded from the table.
 //
 // Determinism contract: the whole SearchReport — candidates, scores,
 // incumbents, shrunk configs, fingerprints, ranking — is a pure function
 // of (options minus jobs). Candidate batches fan out across a thread pool
-// but land in per-index slots and fold up in index order (first maximum
-// wins ties), cells run sequentially, and shrinking is serial, so reports
-// are byte-identical for every `jobs` value.
+// (explore/fan_out.hpp) but land in per-index slots and fold up in index
+// order (first maximum wins ties), cells run sequentially, and shrinking
+// is serial, so reports are byte-identical for every `jobs` value.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "adversary/damage.hpp"
-#include "adversary/reproducer.hpp"
 #include "adversary/space.hpp"
 #include "core/json.hpp"
+#include "explore/finding.hpp"
 #include "runner/runner.hpp"
 
 namespace bftsim::adversary {
@@ -40,7 +41,7 @@ struct SearchOptions {
   std::uint64_t grid = 12;          ///< round-0 seeded draws per attack space
   std::uint64_t rounds = 2;         ///< local-search rounds after round 0
   std::size_t jobs = 0;             ///< 0 = ThreadPool::default_workers()
-  /// Budget cap baked into every config BEFORE running, so reproducers are
+  /// Budget cap baked into every config BEFORE running, so findings are
   /// self-contained (same contract as the fuzzer's campaign watchdog).
   Watchdog watchdog{/*max_events=*/200'000, /*max_time_ms=*/60'000.0};
   std::size_t shrink_runs = 60;     ///< shrink probe budget per worst case
@@ -53,8 +54,8 @@ struct WorstCase {
   json::Value params;            ///< attack_params of the worst candidate
   DamageReport damage;           ///< damage of the (shrunk) worst case
   std::uint64_t evaluations = 0; ///< candidate evaluations spent on the cell
-  bool has_reproducer = false;   ///< false when the cell's best score is 0
-  AdvReproducer reproducer;      ///< replayable worst case (when nonzero)
+  /// Replayable worst case; empty when the cell's best score is 0.
+  std::optional<explore::Finding> finding;
 };
 
 /// Full outcome of one search.

@@ -26,7 +26,7 @@ namespace bftsim::adversary {
 
 /// One discrete parameter axis: a key in attack_params plus the values the
 /// search may pick. Numeric values are pre-quantized to 1/8 ms so they
-/// round-trip bit-identically through reproducer JSON.
+/// round-trip bit-identically through finding JSON.
 struct ParamAxis {
   std::string key;
   std::vector<json::Value> values;

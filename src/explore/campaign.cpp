@@ -6,6 +6,8 @@
 #include "core/config_check.hpp"
 #include "core/thread_pool.hpp"
 #include "explore/canary.hpp"
+#include "explore/fan_out.hpp"
+#include "runner/export.hpp"
 #include "sim/simulation.hpp"
 
 namespace bftsim::explore {
@@ -20,43 +22,35 @@ CampaignOptions CampaignOptions::from_json(const json::Value& v,
   }
   options.seed = static_cast<std::uint64_t>(
       cfgcheck::int_in(v, path, "seed", 1, 0, (1LL << 53)));
-  options.scenario_count = static_cast<std::uint64_t>(
-      cfgcheck::int_in(v, path, "scenarios", 100, 1, 1'000'000));
-  options.watchdog.max_events = static_cast<std::uint64_t>(cfgcheck::int_in(
-      v, path, "max_events", 2'000'000, 10'000, 1'000'000'000));
-  options.shrink.max_runs = static_cast<std::size_t>(
-      cfgcheck::int_in(v, path, "shrink_runs", 200, 1, 100'000));
+  options.scenario_count = static_cast<std::uint64_t>(cfgcheck::int_in(
+      v, path, "scenarios", 100, kScenariosRange.lo, kScenariosRange.hi));
+  options.watchdog.max_events = static_cast<std::uint64_t>(
+      cfgcheck::int_in(v, path, "max_events", 2'000'000, kMaxEventsRange.lo,
+                       kMaxEventsRange.hi));
+  options.shrink_runs = static_cast<std::size_t>(
+      cfgcheck::int_in(v, path, "shrink_runs", 200, kShrinkRunsRange.lo,
+                       kShrinkRunsRange.hi));
   return options;
 }
 
 json::Value CampaignReport::to_json() const {
   json::Object o;
-  o["schema"] = "bftsim-fuzz-campaign-v1";
+  o["schema"] = "bftsim-fuzz-campaign-v2";
   o["seed"] = seed;
   o["scenarios"] = scenario_count;
-  json::Object t;
-  t["decided"] = static_cast<std::uint64_t>(tally.decided);
-  t["horizon"] = static_cast<std::uint64_t>(tally.horizon);
-  t["event_budget"] = static_cast<std::uint64_t>(tally.event_budget);
-  t["queue_drained"] = static_cast<std::uint64_t>(tally.queue_drained);
-  t["failed"] = static_cast<std::uint64_t>(tally.failed);
-  o["tally"] = json::Value{std::move(t)};
+  o["tally"] = termination_tally_to_json(tally);
   json::Array finds;
   for (const CampaignFinding& f : findings) {
     json::Object fo;
     fo["index"] = f.index;
     fo["original_verdict"] = f.original.to_string();
-    fo["reproducer"] = f.reproducer.to_json();
+    fo["finding"] = f.finding.to_json();
     finds.emplace_back(json::Value{std::move(fo)});
   }
   o["findings"] = json::Value{std::move(finds)};
   json::Array crash_list;
   for (const RunFailure& c : crashes) {
-    json::Object co;
-    co["label"] = c.label;
-    co["error"] = c.error;
-    co["config"] = c.config.to_json();
-    crash_list.emplace_back(json::Value{std::move(co)});
+    crash_list.push_back(run_failure_to_json(c));
   }
   o["crashes"] = json::Value{std::move(crash_list)};
   return json::Value{std::move(o)};
@@ -69,8 +63,8 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   }
 
   // Scenario configs are generated up front (cheap, deterministic) with
-  // the watchdog budgets baked in, so the config a reproducer records is
-  // the config that actually ran.
+  // the watchdog budgets baked in, so the config a finding records is the
+  // config that actually ran.
   const std::uint64_t count = options.scenario_count;
   std::vector<Scenario> scenarios;
   scenarios.reserve(count);
@@ -80,42 +74,26 @@ CampaignReport run_campaign(const CampaignOptions& options) {
     scenarios.push_back(std::move(s));
   }
 
-  // Fan out one run per scenario; every outcome lands in its own slot and
-  // is folded up in index order below, which is what makes the report
-  // independent of the job count and of scheduling.
-  struct Slot {
-    bool failed = false;
-    std::string error;
+  struct Run {
     OracleReport report;
     TerminationReason reason = TerminationReason::kQueueDrained;
   };
-  std::vector<Slot> slots(scenarios.size());
-  {
-    ThreadPool pool(options.jobs == 0 ? ThreadPool::default_workers()
-                                      : options.jobs);
-    parallel_for(pool, scenarios.size(), [&scenarios, &slots](std::size_t i) {
-      Slot& slot = slots[i];
-      try {
+  ThreadPool pool(options.jobs == 0 ? ThreadPool::default_workers()
+                                    : options.jobs);
+  std::vector<Slot<Run>> slots =
+      fan_out(pool, scenarios.size(), [&scenarios](std::size_t i) {
         const RunResult result = run_simulation(scenarios[i].config);
-        slot.report = check_oracles(scenarios[i].config, result);
-        slot.reason = result.termination_reason;
-      } catch (const std::exception& e) {
-        slot.failed = true;
-        slot.error = e.what();
-      } catch (...) {
-        slot.failed = true;
-        slot.error = "unknown exception";
-      }
-    });
-  }
+        return Run{check_oracles(scenarios[i].config, result),
+                   result.termination_reason};
+      });
 
   CampaignReport report;
   report.seed = options.seed;
   report.scenario_count = count;
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    Slot& slot = slots[i];
+    Slot<Run>& slot = slots[i];
     const Scenario& scenario = scenarios[i];
-    if (slot.failed) {
+    if (!slot.value) {
       ++report.tally.failed;
       RunFailure failure;
       failure.point = i;
@@ -126,33 +104,24 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       report.crashes.push_back(std::move(failure));
       continue;
     }
-    switch (slot.reason) {
+    switch (slot.value->reason) {
       case TerminationReason::kDecided: ++report.tally.decided; break;
       case TerminationReason::kHorizon: ++report.tally.horizon; break;
       case TerminationReason::kEventBudget: ++report.tally.event_budget; break;
       case TerminationReason::kQueueDrained: ++report.tally.queue_drained; break;
     }
-    if (slot.report.ok) continue;
+    if (slot.value->report.ok) continue;
 
     // Shrink serially, in scenario order: shrinking re-runs simulations,
     // and doing it off the pool keeps the transformation sequence (and
-    // with it the reproducer) deterministic.
-    const ShrinkResult shrunk = shrink_scenario(
-        scenario.config, slot.report.violated, options.shrink);
-
+    // with it the finding) deterministic.
     CampaignFinding finding;
     finding.index = scenario.index;
-    finding.original = std::move(slot.report);
-    finding.reproducer.scenario_id = scenario.id();
-    finding.reproducer.campaign_seed = scenario.campaign_seed;
-    finding.reproducer.index = scenario.index;
-    finding.reproducer.oracle = shrunk.report.violated;
-    finding.reproducer.diagnosis = shrunk.report.diagnosis;
-    finding.reproducer.config = shrunk.config;
-    finding.reproducer.trace_fingerprint = shrunk.trace_fingerprint;
-    finding.reproducer.trace_records = shrunk.trace_records;
-    finding.reproducer.shrink_steps = shrunk.steps;
-    finding.reproducer.shrink_runs = shrunk.runs;
+    finding.finding = shrink_scenario(
+        scenario.config, slot.value->report.violated, options.shrink_runs);
+    finding.finding.id = scenario.id();
+    finding.finding.seed = scenario.campaign_seed;
+    finding.original = std::move(slot.value->report);
     report.findings.push_back(std::move(finding));
   }
   return report;

@@ -61,13 +61,12 @@ std::optional<CertificateRule> certificate_rule(const std::string& protocol,
   return std::nullopt;  // add*/algorand/asyncba: no fixed vote quorum
 }
 
-namespace {
-
-/// Certificate-validity check; empty string means no violation.
-[[nodiscard]] std::string check_certificate(const SimConfig& cfg,
-                                            const RunResult& result) {
+std::optional<CertificateWitness> certificate_witness(
+    const SimConfig& cfg, const RunResult& result) {
   const auto rule = certificate_rule(cfg.protocol, cfg.n);
-  if (!rule || result.decisions.empty() || result.trace.empty()) return {};
+  if (!rule || result.decisions.empty() || result.trace.empty()) {
+    return std::nullopt;
+  }
 
   const std::unordered_set<NodeId> honest(result.honest.begin(),
                                           result.honest.end());
@@ -78,7 +77,7 @@ namespace {
     if (!found || d.at < first_decide) first_decide = d.at;
     found = true;
   }
-  if (!found) return {};
+  if (!found) return std::nullopt;
 
   std::unordered_set<NodeId> senders;
   for (const TraceRecord& rec : result.trace.records()) {
@@ -87,11 +86,20 @@ namespace {
       senders.insert(rec.a);
     }
   }
-  if (senders.size() >= rule->min_senders) return {};
-  return "first decide at " + std::to_string(to_ms(first_decide)) +
-         "ms backed by only " + std::to_string(senders.size()) + " distinct " +
-         rule->vote_type + " senders (certificate needs >= " +
-         std::to_string(rule->min_senders) + ")";
+  return CertificateWitness{*rule, first_decide, senders.size()};
+}
+
+namespace {
+
+/// Certificate-validity check; empty string means no violation.
+[[nodiscard]] std::string check_certificate(const SimConfig& cfg,
+                                            const RunResult& result) {
+  const auto w = certificate_witness(cfg, result);
+  if (!w || w->senders >= w->rule.min_senders) return {};
+  return "first decide at " + std::to_string(to_ms(w->first_decide)) +
+         "ms backed by only " + std::to_string(w->senders) + " distinct " +
+         w->rule.vote_type + " senders (certificate needs >= " +
+         std::to_string(w->rule.min_senders) + ")";
 }
 
 }  // namespace

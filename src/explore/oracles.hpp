@@ -73,6 +73,21 @@ struct CertificateRule {
 [[nodiscard]] std::optional<CertificateRule> certificate_rule(
     const std::string& protocol, std::uint32_t n);
 
+/// What a run put on the wire for its certificate: the first honest
+/// decide, and how many distinct nodes had sent the rule's vote type by
+/// then. Both the certificate oracle and the adversary's quorum near-miss
+/// read it.
+struct CertificateWitness {
+  CertificateRule rule;
+  Time first_decide = 0;
+  std::size_t senders = 0;
+};
+
+/// nullopt when the protocol has no certificate rule, the run recorded no
+/// trace, or no honest node decided.
+[[nodiscard]] std::optional<CertificateWitness> certificate_witness(
+    const SimConfig& cfg, const RunResult& result);
+
 /// Checks `result` against every applicable oracle, in enumerator order,
 /// and reports the first violation. `cfg` must be the config that produced
 /// the run (the oracles need the scenario's quiescence and protocol).

@@ -217,7 +217,7 @@ Scenario generate_scenario(const ScenarioSpace& space,
   // the textbook synchrony violation, not a bug. Clamp their delays at λ.
   if (info.model == NetModel::kSync) cfg.delay.max_ms = cfg.lambda_ms;
   // Keep run seeds below 2^53 so they survive the double-backed JSON layer
-  // exactly — reproducers must round-trip bit-identically.
+  // exactly — findings must round-trip bit-identically.
   cfg.seed = rng.next_u64() >> 11;
   // Multi-decision targets only make sense for pipelined protocols; the
   // one-shot ones (ADD, Algorand's single height, AsyncBA, this repo's

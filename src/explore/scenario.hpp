@@ -25,7 +25,7 @@ namespace bftsim::explore {
 
 /// Quantizes milliseconds to 1/8 ms. Dyadic values are exactly
 /// representable as doubles AND print compactly, so every sampled or
-/// shrunk parameter round-trips bit-identically through reproducer JSON.
+/// shrunk parameter round-trips bit-identically through finding JSON.
 [[nodiscard]] inline double quantize_eighth_ms(double ms) noexcept {
   return static_cast<double>(static_cast<std::int64_t>(ms * 8.0 + 0.5)) / 8.0;
 }
@@ -62,7 +62,7 @@ struct Scenario {
   SimConfig config;
 
   /// Stable identifier, e.g. "campaign-7/scenario-42" — the label attached
-  /// to RunFailure records and reproducers.
+  /// to RunFailure records and findings.
   [[nodiscard]] std::string id() const;
 };
 

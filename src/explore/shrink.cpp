@@ -1,12 +1,12 @@
 #include "explore/shrink.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "explore/canary.hpp"
 #include "explore/scenario.hpp"
-#include "sim/simulation.hpp"
 
 namespace bftsim::explore {
 
@@ -110,52 +110,31 @@ void prune_faults_for_n(SimConfig& cfg) {
   return out;
 }
 
-struct Probe {
-  bool violates = false;
-  OracleReport report;
-  std::uint64_t trace_fingerprint = 0;
-  std::uint64_t trace_records = 0;
-};
-
-[[nodiscard]] Probe probe(const SimConfig& cfg, Oracle expected) {
-  Probe p;
-  const RunResult result = run_simulation(cfg);
-  p.report = check_oracles(cfg, result);
-  p.violates = !p.report.ok && p.report.violated == expected;
-  p.trace_fingerprint = result.trace_fingerprint;
-  p.trace_records = result.trace_records;
-  return p;
-}
-
 }  // namespace
 
-ConfigShrink shrink_config(
-    const SimConfig& start,
-    const std::function<bool(const SimConfig&)>& interesting,
-    const ShrinkPolicy& policy) {
-  ConfigShrink best;
-  best.config = start;
-
+Finding shrink_config(Finding best, const ShrinkPredicate& interesting,
+                      const ShrinkPolicy& policy) {
   bool improved = true;
-  while (improved && best.probes < policy.max_probes) {
+  while (improved && best.shrink_runs < policy.max_runs) {
     improved = false;
     for (SimConfig& candidate : candidates(best.config, policy)) {
-      if (best.probes >= policy.max_probes) break;
+      if (best.shrink_runs >= policy.max_runs) break;
       try {
         candidate.validate();
       } catch (const std::exception&) {
         continue;  // transformation produced an inconsistent config
       }
-      ++best.probes;
-      bool accept = false;
+      ++best.shrink_runs;
+      std::optional<Evidence> accepted;
       try {
-        accept = interesting(candidate);
+        accepted = interesting(candidate);
       } catch (const std::exception&) {
         continue;  // a crashing candidate is a different bug; keep shrinking
       }
-      if (!accept) continue;
+      if (!accepted) continue;
       best.config = std::move(candidate);
-      ++best.steps;
+      best.evidence = std::move(*accepted);
+      ++best.shrink_steps;
       improved = true;
       break;  // restart from the most simplifying transformation
     }
@@ -163,51 +142,36 @@ ConfigShrink shrink_config(
   return best;
 }
 
-ShrinkResult shrink_scenario(const SimConfig& failing, Oracle expected,
-                             const ShrinkOptions& options) {
-  if (failing.protocol == kCanaryProtocol) register_fuzz_canary();
-
-  ShrinkResult best;
-  best.config = failing;
-  const Probe reference = probe(failing, expected);
-  best.runs = 1;
-  if (!reference.violates) {
+Finding shrink_scenario(const SimConfig& failing, Oracle expected,
+                        std::size_t max_runs) {
+  // A candidate is interesting when the SAME oracle still fires.
+  const auto violates = [expected](const Evidence& evidence) {
+    const auto& report = std::get<OracleReport>(evidence.verdict);
+    return !report.ok && report.violated == expected;
+  };
+  Finding start;
+  start.config = failing;
+  start.evidence = oracle_evidence(failing);
+  start.shrink_runs = 1;  // the reference run
+  if (!violates(start.evidence)) {
     throw std::invalid_argument(
         "shrink_scenario: input run does not violate the " +
         std::string(to_string(expected)) + " oracle (got: " +
-        reference.report.to_string() + ")");
+        describe(start.evidence.verdict) + ")");
   }
-  best.report = reference.report;
-  best.trace_fingerprint = reference.trace_fingerprint;
-  best.trace_records = reference.trace_records;
 
-  // The oracle acceptance test on top of the generic core: a candidate is
-  // interesting when the SAME oracle still fires. The probe products of
-  // the accepted candidate are captured on the side — the core only tracks
-  // configs — and re-synced after every acceptance.
-  Probe accepted;
   ShrinkPolicy policy;
   policy.keep_attack = false;
   policy.skip_horizon = expected == Oracle::kLiveness;
-  policy.max_probes = options.max_runs > 0 ? options.max_runs - 1 : 0;
-  const ConfigShrink shrunk = shrink_config(
-      failing,
-      [&](const SimConfig& candidate) {
-        const Probe p = probe(candidate, expected);
-        if (p.violates) accepted = p;
-        return p.violates;
+  policy.max_runs = max_runs;
+  return shrink_config(
+      std::move(start),
+      [&violates](const SimConfig& candidate) -> std::optional<Evidence> {
+        Evidence evidence = oracle_evidence(candidate);
+        if (!violates(evidence)) return std::nullopt;
+        return evidence;
       },
       policy);
-
-  best.runs += shrunk.probes;
-  best.steps = shrunk.steps;
-  if (shrunk.steps > 0) {
-    best.config = shrunk.config;
-    best.report = accepted.report;
-    best.trace_fingerprint = accepted.trace_fingerprint;
-    best.trace_records = accepted.trace_records;
-  }
-  return best;
 }
 
 }  // namespace bftsim::explore

@@ -17,19 +17,13 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 
 #include "core/config.hpp"
+#include "explore/finding.hpp"
 #include "explore/oracles.hpp"
-#include "sim/result.hpp"
 
 namespace bftsim::explore {
-
-struct ShrinkOptions {
-  /// Cap on simulations the shrinker may execute (the acceptance test is
-  /// one run per candidate). The loop stops at the cap and reports the
-  /// best config found so far.
-  std::size_t max_runs = 200;
-};
 
 /// Knobs for the generic predicate-driven ddmin core below.
 struct ShrinkPolicy {
@@ -41,50 +35,42 @@ struct ShrinkPolicy {
   /// time" is trivially true for liveness-style properties and would
   /// shrink every such case into a microscopic horizon).
   bool skip_horizon = false;
-  /// Cap on predicate evaluations.
-  std::size_t max_probes = 200;
+  /// Cap on the finding's shrink_runs: the loop stops once the runs the
+  /// start finding carries plus the predicate evaluations reach it.
+  std::size_t max_runs = 200;
 };
 
-/// Outcome of the generic core: the smallest config the budget allowed for
-/// which the predicate still held.
-struct ConfigShrink {
-  SimConfig config;
-  std::size_t steps = 0;   ///< accepted transformations
-  std::size_t probes = 0;  ///< predicate evaluations (incl. throwing ones)
-};
+/// The acceptance test: a candidate's evidence when it is still
+/// interesting, nullopt when it is not.
+using ShrinkPredicate =
+    std::function<std::optional<Evidence>(const SimConfig&)>;
 
 /// The ddmin core shared by shrink_scenario and the adversary search:
-/// repeatedly proposes simpler variants of `start` in a fixed order,
-/// accepts a candidate when `interesting(candidate)` returns true, and
-/// restarts from the most simplifying transformation after every
-/// acceptance. The predicate decides what "still interesting" means (same
-/// oracle fires, damage score maintained, ...); a predicate that throws
-/// rejects its candidate but still consumes a probe. Candidates that fail
-/// SimConfig::validate() are skipped for free. `start` itself is never
-/// probed — the caller establishes that it is interesting.
-[[nodiscard]] ConfigShrink shrink_config(
-    const SimConfig& start,
-    const std::function<bool(const SimConfig&)>& interesting,
-    const ShrinkPolicy& policy);
-
-/// Outcome of shrinking one failing config.
-struct ShrinkResult {
-  SimConfig config;      ///< smallest violating config found
-  OracleReport report;   ///< verdict of `config`'s run (same oracle kind)
-  std::uint64_t trace_fingerprint = 0;  ///< fingerprint of `config`'s run
-  std::uint64_t trace_records = 0;
-  std::size_t steps = 0;  ///< accepted transformations
-  std::size_t runs = 0;   ///< simulations executed
-};
+/// repeatedly proposes simpler variants of `start.config` in a fixed
+/// order, accepts a candidate when `interesting(candidate)` returns
+/// evidence, and restarts from the most simplifying transformation after
+/// every acceptance. The predicate decides what "still interesting" means
+/// (same oracle fires, damage score maintained, ...); a predicate that
+/// throws rejects its candidate but still counts as a run. Candidates that
+/// fail SimConfig::validate() are skipped for free. `start` itself is
+/// never probed — the caller establishes that it is interesting and gives
+/// its evidence. Returns `start` with the smallest config the budget
+/// allowed and that config's evidence; each accepted transformation adds
+/// to shrink_steps and each predicate evaluation to shrink_runs.
+[[nodiscard]] Finding shrink_config(Finding start,
+                                    const ShrinkPredicate& interesting,
+                                    const ShrinkPolicy& policy);
 
 /// Shrinks `failing` (whose run must violate `expected`) and returns the
-/// smallest config the budget allowed that still violates `expected`.
+/// smallest config that still violates `expected` within `max_runs`
+/// simulations (one per candidate; the loop stops at the cap with the best
+/// config found so far), as a finding with an empty id and seed.
 /// Deterministic: same input -> same transformation sequence -> same
 /// result. The input config is re-run once up front to record the
-/// reference verdict; if it does not violate `expected`, throws
-/// std::invalid_argument.
-[[nodiscard]] ShrinkResult shrink_scenario(const SimConfig& failing,
-                                           Oracle expected,
-                                           const ShrinkOptions& options = {});
+/// reference verdict (counted in shrink_runs); if it does not violate
+/// `expected`, throws std::invalid_argument.
+[[nodiscard]] Finding shrink_scenario(const SimConfig& failing,
+                                      Oracle expected,
+                                      std::size_t max_runs = 200);
 
 }  // namespace bftsim::explore

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "core/json.hpp"
 #include "explore/canary.hpp"
 
@@ -29,14 +31,15 @@ TEST(Campaign, CanaryCampaignFindsAndShrinksThePlantedBug) {
   EXPECT_EQ(report.findings[1].index, 5u);
 
   for (const CampaignFinding& finding : report.findings) {
-    EXPECT_EQ(finding.reproducer.oracle, Oracle::kCertificate);
-    EXPECT_GT(finding.reproducer.shrink_steps, 0u);
-    EXPECT_FALSE(finding.reproducer.diagnosis.empty());
-    // Every reproducer a campaign emits replays bit-identically.
-    const ReplayOutcome outcome = replay_reproducer(finding.reproducer);
-    EXPECT_TRUE(outcome.ok())
-        << finding.reproducer.scenario_id << ": "
-        << outcome.report.to_string();
+    const auto& verdict =
+        std::get<OracleReport>(finding.finding.evidence.verdict);
+    EXPECT_EQ(verdict.violated, Oracle::kCertificate);
+    EXPECT_GT(finding.finding.shrink_steps, 0u);
+    EXPECT_FALSE(verdict.diagnosis.empty());
+    // Every finding a campaign emits replays bit-identically.
+    const Replay replay = finding.finding.replay();
+    EXPECT_TRUE(replay.ok()) << finding.finding.id << ": "
+                             << describe(replay.evidence.verdict);
   }
 }
 
@@ -64,14 +67,14 @@ TEST(Campaign, RealProtocolsComeBackClean) {
 TEST(Campaign, ReportJsonCarriesSchemaAndFindings) {
   const json::Value doc = run_campaign(canary_options(4)).to_json();
   const json::Object& o = doc.as_object();
-  EXPECT_EQ(o.at("schema").as_string(), "bftsim-fuzz-campaign-v1");
+  EXPECT_EQ(o.at("schema").as_string(), "bftsim-fuzz-campaign-v2");
   EXPECT_EQ(o.at("seed").as_int(), 1);
   EXPECT_EQ(o.at("scenarios").as_int(), 4);
   ASSERT_EQ(o.at("findings").as_array().size(), 1u);  // index 3
   const json::Object& finding = o.at("findings").as_array()[0].as_object();
   EXPECT_EQ(finding.at("index").as_int(), 3);
-  EXPECT_EQ(finding.at("reproducer").as_object().at("schema").as_string(),
-            "bftsim-fuzz-reproducer-v1");
+  EXPECT_EQ(finding.at("finding").as_object().at("schema").as_string(),
+            kFindingSchema);
 }
 
 TEST(CampaignOptions, FromJsonParsesTheExploreClause) {
@@ -82,7 +85,7 @@ TEST(CampaignOptions, FromJsonParsesTheExploreClause) {
   EXPECT_EQ(options.seed, 9u);
   EXPECT_EQ(options.scenario_count, 25u);
   EXPECT_EQ(options.watchdog.max_events, 50'000u);
-  EXPECT_EQ(options.shrink.max_runs, 12u);
+  EXPECT_EQ(options.shrink_runs, 12u);
   ASSERT_EQ(options.space.protocols.size(), 1u);
   EXPECT_EQ(options.space.protocols[0], "pbft");
   EXPECT_DOUBLE_EQ(options.space.attack_rate, 0.1);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "explore/canary.hpp"
 #include "explore/scenario.hpp"
 #include "runner/runner.hpp"
@@ -22,31 +24,29 @@ SimConfig failing_config(std::uint64_t index) {
 
 TEST(Shrink, ReducesTheScenarioAndPreservesTheViolation) {
   const SimConfig failing = failing_config(3);  // certificate violation
-  const ShrinkResult result =
-      shrink_scenario(failing, Oracle::kCertificate);
-  EXPECT_GT(result.steps, 0u);
-  EXPECT_GE(result.runs, result.steps + 1);  // + the reference probe
+  const Finding result = shrink_scenario(failing, Oracle::kCertificate);
+  EXPECT_GT(result.shrink_steps, 0u);
+  EXPECT_GE(result.shrink_runs, result.shrink_steps + 1);  // + the reference
   EXPECT_LT(result.config.max_time_ms, failing.max_time_ms);
-  ASSERT_FALSE(result.report.ok);
-  EXPECT_EQ(result.report.violated, Oracle::kCertificate);
+  const auto& report = std::get<OracleReport>(result.evidence.verdict);
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.violated, Oracle::kCertificate);
 
   // The shrunk config independently reproduces verdict and fingerprint.
   const RunResult rerun = run_simulation(result.config);
   const OracleReport verdict = check_oracles(result.config, rerun);
   ASSERT_FALSE(verdict.ok);
   EXPECT_EQ(verdict.violated, Oracle::kCertificate);
-  EXPECT_EQ(rerun.trace_fingerprint, result.trace_fingerprint);
-  EXPECT_EQ(rerun.trace_records, result.trace_records);
+  ASSERT_EQ(result.evidence.runs.size(), 1u);
+  EXPECT_EQ(rerun.trace_fingerprint, result.evidence.runs[0].fingerprint);
+  EXPECT_EQ(rerun.trace_records, result.evidence.runs[0].records);
 }
 
 TEST(Shrink, IsDeterministic) {
   const SimConfig failing = failing_config(3);
-  const ShrinkResult a = shrink_scenario(failing, Oracle::kCertificate);
-  const ShrinkResult b = shrink_scenario(failing, Oracle::kCertificate);
-  EXPECT_EQ(a.config.to_json().dump(), b.config.to_json().dump());
-  EXPECT_EQ(a.trace_fingerprint, b.trace_fingerprint);
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.runs, b.runs);
+  const Finding a = shrink_scenario(failing, Oracle::kCertificate);
+  const Finding b = shrink_scenario(failing, Oracle::kCertificate);
+  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
 }
 
 TEST(Shrink, DoesNotMutateTheInputConfig) {
@@ -58,7 +58,7 @@ TEST(Shrink, DoesNotMutateTheInputConfig) {
   const SimConfig failing = failing_config(28);  // agreement violation
   ASSERT_EQ(failing.attack, "partition");
   const std::string before = failing.to_json().dump();
-  const ShrinkResult result = shrink_scenario(failing, Oracle::kAgreement);
+  const Finding result = shrink_scenario(failing, Oracle::kAgreement);
   EXPECT_EQ(failing.to_json().dump(), before)
       << "shrink_scenario mutated its input";
   // The accepted shrink really did halve the partition's resolve window.
@@ -69,13 +69,11 @@ TEST(Shrink, DoesNotMutateTheInputConfig) {
 
 TEST(Shrink, RespectsTheRunBudget) {
   const SimConfig failing = failing_config(3);
-  ShrinkOptions options;
-  options.max_runs = 3;
-  const ShrinkResult result =
-      shrink_scenario(failing, Oracle::kCertificate, options);
-  EXPECT_LE(result.runs, 3u);
-  ASSERT_FALSE(result.report.ok);
-  EXPECT_EQ(result.report.violated, Oracle::kCertificate);
+  const Finding result = shrink_scenario(failing, Oracle::kCertificate, 3);
+  EXPECT_LE(result.shrink_runs, 3u);
+  const auto& report = std::get<OracleReport>(result.evidence.verdict);
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.violated, Oracle::kCertificate);
 }
 
 TEST(Shrink, NonViolatingInputThrows) {

@@ -19,6 +19,9 @@
 // zeroing it makes the outcome file byte-for-byte comparable across job
 // counts and machines (CI's wan-matrix job diffs --jobs 1 vs --jobs 4).
 //
+// Numeric flags take one whole decimal token in range (--jobs at most 128);
+// anything else exits 2 before a run starts.
+//
 // --intra-jobs N overrides every point's engine.intra_jobs, running each
 // run through the windowed-parallel driver (per-node RNG semantics; see
 // docs/PARALLELISM.md). Points whose config already sets an engine section
@@ -34,9 +37,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/json.hpp"
 #include "runner/export.hpp"
 #include "runner/runner.hpp"
@@ -72,18 +77,23 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto whole = [&](std::uint64_t lo, std::uint64_t hi) {
+      return cli::arg("run_sweep", arg, next(), lo, hi);
+    };
     if (arg == "--repeats") {
-      repeats = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      repeats = whole(1, 1'000'000);
     } else if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      jobs = whole(0, cli::kMaxJobs);
     } else if (arg == "--intra-jobs") {
-      intra_jobs = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      intra_jobs = static_cast<std::uint32_t>(
+          whole(1, EngineConfig::kMaxIntraJobs));
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--max-events") {
-      watchdog.max_events = std::strtoull(next(), nullptr, 10);
+      watchdog.max_events =
+          whole(1, std::numeric_limits<std::int64_t>::max());
     } else if (arg == "--max-time-ms") {
-      watchdog.max_time_ms = std::strtod(next(), nullptr);
+      watchdog.max_time_ms = cli::arg("run_sweep", arg, next(), 1e-6, 1e12);
     } else if (arg == "--fail-fast") {
       fail_fast = true;
     } else if (arg == "--zero-wall") {
