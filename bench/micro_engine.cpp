@@ -1,16 +1,16 @@
 // Micro-benchmarks of the simulation engine (google-benchmark): event
 // queue throughput, RNG sampling, and end-to-end runs per engine — the raw
 // numbers behind the simulator's Fig. 2 speed — plus a serial-vs-parallel
-// experiment-runner comparison and an n-scaling curve (events/sec and
-// resident bytes/node at n up to 8192; see docs/SCALING.md), all written
-// to a JSON file (default micro_engine.json; --json PATH to move, --jobs N
-// to size the pool, --intra-jobs N to size the windowed-parallel driver,
-// --skip-micro to run only the measurements, --skip-scaling to omit the
-// curve, --skip-intra to omit the windowed intra-run speedup,
-// --skip-attacker to omit the attacker-hook overhead record,
-// --skip-wan to omit the WAN-backend vs direct-broadcast record,
-// --skip-workload to omit the client-workload-generator record,
-// --skip-run-length to omit the run-length curve,
+// experiment-runner comparison, an n-scaling curve (events/sec and
+// resident bytes/node at n up to 8192; see docs/SCALING.md), the windowed
+// intra-run speedup, the layer ladder (one fixed pbft workload with one
+// layer added per rung: attacker hook, WAN backend pieces, client
+// workloads) and the run-length curve, all written to a JSON file (default
+// micro_engine.json; --json PATH to move, --jobs N to size the pool,
+// --intra-jobs N to size the windowed-parallel driver, --repeats N runs
+// per timed side, --skip-micro to run only the measurements,
+// --skip-scaling to omit the curve, --skip-intra to omit the windowed
+// intra-run speedup, --skip-run-length to omit the run-length curve,
 // --only-scaling to record just the curve). Every record carries the
 // actual hardware thread count so bench_gate can refuse cross-machine
 // comparisons.
@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -26,6 +25,7 @@
 
 #include "baseline/baseline.hpp"
 #include "bench_common.hpp"
+#include "cli_args.hpp"
 #include "core/event_queue.hpp"
 #include "core/memstats.hpp"
 #include "core/rng.hpp"
@@ -33,11 +33,9 @@
 #include "core/thread_pool.hpp"
 #include "core/json.hpp"
 #include "net/delay_model.hpp"
-#include "net/wan/wan_spec.hpp"
 #include "runner/export.hpp"
 #include "runner/runner.hpp"
 #include "sim/simulation.hpp"
-#include "workload/workload_spec.hpp"
 
 namespace {
 
@@ -133,69 +131,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Measures single-run engine throughput (events/sec) on fixed HotStuff
-/// and PBFT workloads at n ∈ {16, 64, 128}. This is the series behind
-/// BENCH_engine.json: run it before and after an engine change on the
-/// same machine and compare events_per_sec per workload (the aggregates
-/// must stay `equivalent()` — any difference is an ordering bug, not an
-/// optimization).
-json::Value measure_engine_throughput() {
-  struct Workload {
-    const char* protocol;
-    std::uint32_t n;
-    std::uint32_t decisions;
-    std::size_t repeats;
-  };
-  // Repeats shrink with n so every row costs roughly the same wall time.
-  // HotStuff (linear message complexity) runs 100 pipelined decisions per
-  // run so the hot path dominates per-run setup; PBFT (quadratic) already
-  // produces large event counts at 10.
-  // Repeat counts keep every row at hundreds of ms so one timer tick or
-  // scheduler hiccup cannot dominate the events/sec figure.
-  const Workload workloads[] = {
-      {"hotstuff-ns", 16, 100, 64}, {"hotstuff-ns", 64, 100, 32},
-      {"hotstuff-ns", 128, 100, 16}, {"pbft", 16, 10, 96},
-      {"pbft", 64, 10, 16},          {"pbft", 128, 10, 6},
-  };
-
-  std::printf("\n--- engine throughput (events/sec, serial run_repeated) ---\n");
-  json::Array rows;
-  for (const Workload& w : workloads) {
-    SimConfig cfg;
-    cfg.protocol = w.protocol;
-    cfg.n = w.n;
-    cfg.lambda_ms = 1000;
-    cfg.delay = DelaySpec::normal(250, 50);
-    cfg.decisions = w.decisions;
-    cfg.seed = 1;
-
-    (void)run_repeated(cfg, 1);  // warm-up outside the timed region
-    const auto start = std::chrono::steady_clock::now();
-    const Aggregate agg = run_repeated(cfg, w.repeats);
-    const double seconds = seconds_since(start);
-
-    const double events_total = agg.events.mean * static_cast<double>(agg.runs);
-    const double events_per_sec = seconds > 0.0 ? events_total / seconds : 0.0;
-    std::printf("%-12s n=%-4u %8.0f events in %6.3f s -> %12.0f events/s\n",
-                w.protocol, w.n, events_total, seconds, events_per_sec);
-
-    json::Object row;
-    row["protocol"] = w.protocol;
-    row["n"] = static_cast<std::int64_t>(w.n);
-    row["decisions"] = static_cast<std::int64_t>(cfg.decisions);
-    row["repeats"] = static_cast<std::int64_t>(w.repeats);
-    row["events_total"] = events_total;
-    row["wall_seconds"] = seconds;
-    row["events_per_sec"] = events_per_sec;
-    row["aggregate"] = aggregate_to_json(agg);
-    rows.push_back(json::Value{std::move(row)});
-  }
-  return json::Value{std::move(rows)};
-}
-
-/// Measures the n-scaling curve: one single run per (protocol, n) point,
-/// recording engine throughput (events/sec) and the per-node resident
-/// memory cost. Memory attribution: trim the heap and take an RSS
+/// Measures the n-scaling curve per (protocol, n) point: engine
+/// throughput (events/sec; a point whose run takes under kMinTimedSeconds
+/// is re-run and timed by its median run) and the per-node resident memory
+/// cost of its first run. Memory attribution: trim the heap and take an RSS
 /// baseline, reset the kernel's peak-RSS watermark, run, and charge the
 /// peak-minus-baseline delta to the run (bytes_per_node = delta / n).
 /// Decision counts shrink with n so every point costs bounded wall time —
@@ -205,6 +144,8 @@ json::Value measure_engine_throughput() {
 /// baseline. The record carries its own hardware_threads, like the intra
 /// and run-length records.
 json::Value measure_scaling_curve() {
+  constexpr double kMinTimedSeconds = 0.1;
+  constexpr std::size_t kMinShortRuns = 5;
   struct Point {
     const char* protocol;
     std::uint32_t n;
@@ -218,7 +159,9 @@ json::Value measure_scaling_curve() {
       {"pbft", 4096, 1},
   };
 
-  std::printf("\n--- n-scaling curve (single run per point) ---\n");
+  std::printf("\n--- n-scaling curve (one run per point; median of >= %zu "
+              "under %.1f s) ---\n",
+              kMinShortRuns, kMinTimedSeconds);
   json::Array rows;
   for (const Point& p : points) {
     SimConfig cfg;
@@ -246,13 +189,28 @@ json::Value measure_scaling_curve() {
         after_rss > baseline_rss ? after_rss - baseline_rss : 0;
     const double bytes_per_node =
         static_cast<double>(rss_delta) / static_cast<double>(p.n);
+
+    // A short point is re-run until it has kMinShortRuns runs and
+    // kMinTimedSeconds in all, and timed by its median run: one
+    // tens-of-milliseconds shot swings with the host. Every run is the same
+    // seed, so the event count does not change.
+    std::vector<double> walls{seconds};
+    double total = seconds;
+    while (seconds < kMinTimedSeconds &&
+           (walls.size() < kMinShortRuns || total < kMinTimedSeconds)) {
+      const auto again = std::chrono::steady_clock::now();
+      (void)run_simulation(cfg);
+      walls.push_back(seconds_since(again));
+      total += walls.back();
+    }
+    const double wall = summarize(walls).median;
     const double events =
         static_cast<double>(result.events_processed);
-    const double events_per_sec = seconds > 0.0 ? events / seconds : 0.0;
+    const double events_per_sec = wall > 0.0 ? events / wall : 0.0;
 
     std::printf("%-12s n=%-5u %10.0f events in %7.3f s -> %10.0f events/s, "
                 "%8.0f bytes/node%s\n",
-                p.protocol, p.n, events, seconds, events_per_sec,
+                p.protocol, p.n, events, wall, events_per_sec,
                 bytes_per_node, result.terminated ? "" : "  [DID NOT DECIDE]");
 
     json::Object row;
@@ -261,7 +219,7 @@ json::Value measure_scaling_curve() {
     row["decisions"] = static_cast<std::int64_t>(p.decisions);
     row["terminated"] = result.terminated;
     row["events_processed"] = events;
-    row["wall_seconds"] = seconds;
+    row["wall_seconds"] = wall;
     row["events_per_sec"] = events_per_sec;
     row["baseline_rss_bytes"] = static_cast<std::int64_t>(baseline_rss);
     row["peak_rss_bytes"] = static_cast<std::int64_t>(after_rss);
@@ -489,147 +447,69 @@ json::Value measure_intra_speedup(std::uint32_t intra_jobs) {
   return json::Value{std::move(o)};
 }
 
-/// Times the attacker hook: the same workload attack-free (the passive
-/// fast path, which never materializes Message objects) vs with a
-/// registered no-op attack whose type filter matches nothing (every
-/// unicast now traverses attack() through the envelope slow path). The
-/// two runs must stay equivalent — the hook may cost wall time, never
-/// semantics — and the overhead ratio is the figure bench_gate guards.
-json::Value measure_attacker_hook(std::size_t repeats) {
-  SimConfig cfg;
-  cfg.protocol = "pbft";
-  cfg.n = 32;
-  cfg.lambda_ms = 1000;
-  cfg.delay = DelaySpec::normal(250, 50);
-  cfg.seed = 1;
+/// One rung of the layer ladder: the ladder's base workload plus one layer,
+/// given as the config keys the layer sets (SimConfig JSON).
+struct Rung {
+  const char* name;
+  const char* layer;
+};
 
-  (void)run_repeated(cfg, 2);  // warm-up outside the timed region
-  const auto passive_start = std::chrono::steady_clock::now();
-  const Aggregate passive = run_repeated(cfg, repeats);
-  const double passive_seconds = seconds_since(passive_start);
+/// Each rung adds exactly one layer to the base, so a rung's cost over
+/// the base is that layer's cost. The workload rungs need the base's ten
+/// decisions: a single-decision pbft run mints its only fresh proposal at
+/// t=0, before any open-loop request has arrived.
+constexpr Rung kRungs[] = {
+    {"base", "{}"},
+    // A registered no-op attack whose type filter matches nothing: every
+    // unicast now traverses attack() through the envelope slow path.
+    {"attacker-hook",
+     R"({"attack": "delay-schedule",
+         "attack_params": {"type": "bench/none"}})"},
+    {"wan-matrix", R"({"net": {"rtt": {"matrix": "geo8"}}})"},
+    {"wan-bandwidth", R"({"net": {"uplink_mbps": 200, "downlink_mbps": 200}})"},
+    {"wan-gossip", R"({"net": {"backend": "gossip", "fanout": 3}})"},
+    {"workload-open-poisson",
+     R"({"workload": {"rate_rps": 500, "max_batch": 16}})"},
+    {"workload-open-fixed",
+     R"({"workload": {"arrival": "fixed", "rate_rps": 500, "max_batch": 16,
+                      "max_wait_ms": 50}})"},
+    {"workload-closed",
+     R"({"workload": {"mode": "closed", "clients": 200, "window": 2,
+                      "think_ms": 10, "max_batch": 16}})"},
+};
 
-  cfg.attack = "delay-schedule";
-  json::Object params;
-  params["type"] = "bench/none";  // matches no payload type: a no-op hook
-  cfg.attack_params = json::Value{std::move(params)};
-  (void)run_repeated(cfg, 2);
-  const auto hooked_start = std::chrono::steady_clock::now();
-  const Aggregate hooked = run_repeated(cfg, repeats);
-  const double hooked_seconds = seconds_since(hooked_start);
+/// `repeats` serial runs of one config, timed as one block.
+struct TimedRuns {
+  Aggregate aggregate;
+  double events_per_sec = 0.0;
+};
 
-  const bool identical = equivalent(passive, hooked);
-  const double overhead =
-      passive_seconds > 0.0 ? hooked_seconds / passive_seconds : 0.0;
-  std::printf("\n--- attacker hook overhead (pbft, n=32, %zu runs) ---\n",
-              repeats);
-  std::printf("passive:   %.3f s\n", passive_seconds);
-  std::printf("hooked:    %.3f s  (no-op delay-schedule attack)\n",
-              hooked_seconds);
-  std::printf("overhead:  %.2fx\n", overhead);
-  std::printf("aggregates identical (modulo wall clock): %s\n",
-              identical ? "yes" : "NO — the hook changed semantics");
-
-  json::Object o;
-  o["workload"] = "run_repeated pbft n=32";
-  o["repeats"] = static_cast<std::int64_t>(repeats);
-  o["passive_seconds"] = passive_seconds;
-  o["hooked_seconds"] = hooked_seconds;
-  o["overhead_ratio"] = overhead;
-  o["identical"] = identical;
-  return json::Value{std::move(o)};
+TimedRuns time_runs(const SimConfig& cfg, std::size_t repeats) {
+  const auto start = std::chrono::steady_clock::now();
+  TimedRuns t{run_repeated(cfg, repeats)};
+  const double seconds = seconds_since(start);
+  const double events =
+      t.aggregate.events.mean * static_cast<double>(t.aggregate.runs);
+  t.events_per_sec = seconds > 0.0 ? events / seconds : 0.0;
+  return t;
 }
 
-/// Times the WAN transport backend (net/wan/; see docs/NETWORKING.md)
-/// against the classic direct-broadcast network on the same workload: one
-/// direct baseline, then one run per backend piece (geo8 RTT matrix,
-/// bandwidth queues, gossip dissemination). Each mode runs twice and the
-/// two aggregates must be equivalent — WAN delays are deterministic
-/// functions of the run seed, never of the wall clock. The gated figure is
-/// relative_throughput (mode events/sec over direct events/sec): a pure
-/// per-event-cost ratio, so it transfers across machines where raw
-/// events/sec does not.
-json::Value measure_wan_backend(std::size_t repeats) {
-  SimConfig base;
-  base.protocol = "pbft";
-  base.n = 32;
-  base.lambda_ms = 1000;
-  base.delay = DelaySpec::normal(250, 50);
-  base.seed = 1;
-
-  (void)run_repeated(base, 2);  // warm-up outside the timed region
-  const auto direct_start = std::chrono::steady_clock::now();
-  const Aggregate direct = run_repeated(base, repeats);
-  const double direct_seconds = seconds_since(direct_start);
-  const double direct_events =
-      direct.events.mean * static_cast<double>(direct.runs);
-  const double direct_eps =
-      direct_seconds > 0.0 ? direct_events / direct_seconds : 0.0;
-
-  struct Mode {
-    const char* name;
-    const char* net_json;
-  };
-  const Mode modes[] = {
-      {"matrix", R"({"rtt": {"matrix": "geo8"}})"},
-      {"bandwidth", R"({"uplink_mbps": 200, "downlink_mbps": 200})"},
-      {"gossip", R"({"backend": "gossip", "fanout": 3})"},
-  };
-
-  std::printf("\n--- WAN backend vs direct broadcast (pbft, n=32, %zu runs) ---\n",
-              repeats);
-  std::printf("direct:    %.3f s, %.0f events -> %.0f events/s\n",
-              direct_seconds, direct_events, direct_eps);
-
-  json::Array rows;
-  for (const Mode& mode : modes) {
-    SimConfig cfg = base;
-    cfg.net = WanSpec::from_json(json::parse(mode.net_json));
-    (void)run_repeated(cfg, 2);
-    const auto start = std::chrono::steady_clock::now();
-    const Aggregate agg = run_repeated(cfg, repeats);
-    const double seconds = seconds_since(start);
-    const Aggregate again = run_repeated(cfg, repeats);
-    const bool deterministic = equivalent(agg, again);
-
-    const double events = agg.events.mean * static_cast<double>(agg.runs);
-    const double eps = seconds > 0.0 ? events / seconds : 0.0;
-    const double relative = direct_eps > 0.0 ? eps / direct_eps : 0.0;
-    std::printf("%-9s  %.3f s, %.0f events -> %.0f events/s (%.2fx direct)%s\n",
-                mode.name, seconds, events, eps, relative,
-                deterministic ? "" : "  [NONDETERMINISTIC — bug]");
-
-    json::Object row;
-    row["mode"] = mode.name;
-    row["seconds"] = seconds;
-    row["events_total"] = events;
-    row["events_per_sec"] = eps;
-    row["relative_throughput"] = relative;
-    row["deterministic"] = deterministic;
-    rows.push_back(json::Value{std::move(row)});
-  }
-
-  json::Object o;
-  o["workload"] = "run_repeated pbft n=32";
-  o["repeats"] = static_cast<std::int64_t>(repeats);
-  o["direct_seconds"] = direct_seconds;
-  o["direct_events_per_sec"] = direct_eps;
-  o["modes"] = json::Value{std::move(rows)};
-  return json::Value{std::move(o)};
-}
-
-/// Times the client workload generator (src/workload/; see
-/// docs/WORKLOADS.md) against the same runs with no workload attached: one
-/// request-free baseline, then one run per generator discipline
-/// (open-loop Poisson arrivals, open-loop fixed arrivals with a batch
-/// deadline, closed-loop client population). Each mode runs twice and the
-/// two aggregates must be equivalent — arrivals come off the run-seed
-/// "wl" RNG fork, never the wall clock. The gated figure is
-/// relative_throughput (mode events/sec over baseline events/sec): a pure
-/// per-event-cost ratio, so it transfers across machines where raw
-/// events/sec does not. The base config targets ten decisions so batching
-/// actually engages (a single-decision pbft run mints its only fresh
-/// proposal at t=0, before any open-loop request has arrived).
-json::Value measure_client_workload(std::size_t repeats) {
+/// Measures the layer ladder: every rung against the base workload (pbft,
+/// n=32, lambda 1000, N(250,50), 10 decisions, seed 1) in kPairs
+/// alternating pairs, each side `repeats` serial runs; the base side goes
+/// first in even pairs and the rung side in odd ones, so host speed drift
+/// hits both alike. Per rung the row keeps relative_throughput, the
+/// median over pairs of rung events/sec over base events/sec (a per-event
+/// cost ratio, so it transfers across machines where raw events/sec does
+/// not), with its slowest and fastest pair; deterministic, whether the
+/// rung's aggregate was equivalent() in every pair (a layer's randomness
+/// comes off the run seed, never the wall clock); and same_as_base,
+/// whether it was equivalent() to the base's (a layer that may cost time
+/// but never change semantics, like the no-op attack, keeps this true).
+/// The base row also records the median events/sec over every base-side
+/// timing of the ladder. tools/bench_gate gates every row by one rule.
+json::Value measure_ladder(std::size_t repeats) {
+  constexpr std::size_t kPairs = 7;
   SimConfig base;
   base.protocol = "pbft";
   base.n = 32;
@@ -638,95 +518,80 @@ json::Value measure_client_workload(std::size_t repeats) {
   base.decisions = 10;
   base.seed = 1;
 
+  std::printf("\n--- layer ladder (pbft, n=32, 10 decisions, %zu pairs of "
+              "%zu runs) ---\n",
+              kPairs, repeats);
   (void)run_repeated(base, 2);  // warm-up outside the timed region
-  const auto baseline_start = std::chrono::steady_clock::now();
-  const Aggregate baseline = run_repeated(base, repeats);
-  const double baseline_seconds = seconds_since(baseline_start);
-  const double baseline_events =
-      baseline.events.mean * static_cast<double>(baseline.runs);
-  const double baseline_eps =
-      baseline_seconds > 0.0 ? baseline_events / baseline_seconds : 0.0;
-
-  struct Mode {
-    const char* name;
-    WorkloadSpec spec;
-  };
-  Mode modes[3];
-  modes[0].name = "open-poisson";
-  modes[0].spec.rate_rps = 500.0;
-  modes[0].spec.max_batch = 16;
-  modes[1].name = "open-fixed";
-  modes[1].spec.arrival = WorkloadSpec::Arrival::kFixed;
-  modes[1].spec.rate_rps = 500.0;
-  modes[1].spec.max_batch = 16;
-  modes[1].spec.max_wait_ms = 50.0;
-  modes[2].name = "closed";
-  modes[2].spec.mode = WorkloadSpec::Mode::kClosed;
-  modes[2].spec.clients = 200;
-  modes[2].spec.window = 2;
-  modes[2].spec.think_ms = 10.0;
-  modes[2].spec.max_batch = 16;
-
-  std::printf(
-      "\n--- client workload vs request-free runs (pbft, n=32, %zu runs) ---\n",
-      repeats);
-  std::printf("no-workload: %.3f s, %.0f events -> %.0f events/s\n",
-              baseline_seconds, baseline_events, baseline_eps);
-
+  std::vector<double> base_eps;
   json::Array rows;
-  for (const Mode& mode : modes) {
-    SimConfig cfg = base;
-    cfg.workload = mode.spec;
+  for (const Rung& rung : kRungs) {
+    const json::Value layer = json::parse(rung.layer);
+    json::Value doc = base.to_json();
+    for (const auto& [key, value] : layer.as_object()) {
+      doc.as_object()[key] = value;
+    }
+    const SimConfig cfg = SimConfig::from_json(doc);
     (void)run_repeated(cfg, 2);
-    const auto start = std::chrono::steady_clock::now();
-    const Aggregate agg = run_repeated(cfg, repeats);
-    const double seconds = seconds_since(start);
-    const Aggregate again = run_repeated(cfg, repeats);
-    const bool deterministic = equivalent(agg, again);
 
-    const double events = agg.events.mean * static_cast<double>(agg.runs);
-    const double eps = seconds > 0.0 ? events / seconds : 0.0;
-    const double relative = baseline_eps > 0.0 ? eps / baseline_eps : 0.0;
-    std::printf(
-        "%-12s %.3f s, %.0f events -> %.0f events/s (%.2fx no-workload, "
-        "%llu requests decided)%s\n",
-        mode.name, seconds, events, eps, relative,
-        static_cast<unsigned long long>(agg.workload_decided),
-        deterministic ? "" : "  [NONDETERMINISTIC — bug]");
+    std::vector<double> ratios;
+    bool deterministic = true;
+    bool same_as_base = true;
+    Aggregate first;
+    for (std::size_t pair = 0; pair < kPairs; ++pair) {
+      const bool base_first = pair % 2 == 0;
+      const TimedRuns a = time_runs(base_first ? base : cfg, repeats);
+      const TimedRuns b = time_runs(base_first ? cfg : base, repeats);
+      const TimedRuns& on_base = base_first ? a : b;
+      const TimedRuns& on_rung = base_first ? b : a;
+      base_eps.push_back(on_base.events_per_sec);
+      ratios.push_back(on_base.events_per_sec > 0.0
+                           ? on_rung.events_per_sec / on_base.events_per_sec
+                           : 0.0);
+      if (pair == 0) first = on_rung.aggregate;
+      deterministic = deterministic && equivalent(on_rung.aggregate, first);
+      same_as_base =
+          same_as_base && equivalent(on_rung.aggregate, on_base.aggregate);
+    }
+    const Summary ratio = summarize(ratios);
+    std::printf("%-22s %8.0f events/run, %.2fx base (pairs %.2f-%.2f)%s%s\n",
+                rung.name, first.events.mean, ratio.median, ratio.min,
+                ratio.max, same_as_base ? ", same as base" : "",
+                deterministic ? "" : "  [NONDETERMINISTIC — bug]");
 
     json::Object row;
-    row["mode"] = mode.name;
-    row["seconds"] = seconds;
-    row["events_total"] = events;
-    row["events_per_sec"] = eps;
-    row["relative_throughput"] = relative;
+    row["rung"] = rung.name;
+    row["layer"] = layer;
+    row["events_per_run"] = first.events.mean;
+    row["relative_throughput"] = ratio.median;
+    row["relative_throughput_min"] = ratio.min;
+    row["relative_throughput_max"] = ratio.max;
     row["deterministic"] = deterministic;
-    row["requests_decided"] =
-        static_cast<std::int64_t>(agg.workload_decided);
+    row["same_as_base"] = same_as_base;
     rows.push_back(json::Value{std::move(row)});
   }
+  const double base_median = summarize(base_eps).median;
+  rows.front().as_object()["events_per_sec"] = base_median;
+  std::printf("base: %.0f events/s (median of %zu timings)\n", base_median,
+              base_eps.size());
 
   json::Object o;
-  o["workload"] = "run_repeated pbft n=32 decisions=10";
+  o["hardware_threads"] =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  o["base"] = base.to_json();
   o["repeats"] = static_cast<std::int64_t>(repeats);
-  o["baseline_seconds"] = baseline_seconds;
-  o["baseline_events_per_sec"] = baseline_eps;
-  o["modes"] = json::Value{std::move(rows)};
+  o["pairs"] = static_cast<std::int64_t>(kPairs);
+  o["rungs"] = json::Value{std::move(rows)};
   return json::Value{std::move(o)};
 }
 
 /// Times run_repeated vs run_repeated_parallel on the same workload,
 /// checks the aggregates are equivalent, prints the comparison, and
-/// writes it to `json_path`. Speedup tracks the machine: ~min(jobs,
-/// cores)× on idle multi-core hosts, ~1× on a single core.
+/// writes it to `json_path` together with the other `records`. Speedup
+/// tracks the machine: ~min(jobs, cores)× on idle multi-core hosts, ~1× on
+/// a single core.
 void measure_parallel_speedup(const std::string& json_path, std::size_t jobs,
-                              std::size_t repeats, json::Value engine_throughput,
-                              json::Value scaling, json::Value intra_speedup,
-                              std::uint32_t intra_jobs,
-                              json::Value attacker_hook,
-                              json::Value wan_backend,
-                              json::Value client_workload,
-                              json::Value run_length) {
+                              std::size_t repeats, std::uint32_t intra_jobs,
+                              const json::Object& records) {
   SimConfig cfg;
   cfg.protocol = "pbft";
   cfg.n = 32;
@@ -773,15 +638,7 @@ void measure_parallel_speedup(const std::string& json_path, std::size_t jobs,
   o["aggregates_identical"] = identical;
   o["serial_aggregate"] = aggregate_to_json(serial);
   o["parallel_aggregate"] = aggregate_to_json(parallel);
-  o["engine_throughput"] = std::move(engine_throughput);
-  if (scaling.is_object()) o["scaling"] = std::move(scaling);
-  if (intra_speedup.is_object()) o["intra_speedup"] = std::move(intra_speedup);
-  if (attacker_hook.is_object()) o["attacker_hook"] = std::move(attacker_hook);
-  if (wan_backend.is_object()) o["wan_backend"] = std::move(wan_backend);
-  if (client_workload.is_object()) {
-    o["client_workload"] = std::move(client_workload);
-  }
-  if (run_length.is_object()) o["run_length"] = std::move(run_length);
+  for (const auto& [key, record] : records) o[key] = record;
   write_json_file(json_path, json::Value{std::move(o)});
   std::printf("[speedup record written to %s]\n", json_path.c_str());
 }
@@ -790,21 +647,14 @@ void measure_parallel_speedup(const std::string& json_path, std::size_t jobs,
 
 int main(int argc, char** argv) {
   std::string json_path = "micro_engine.json";
-  std::size_t jobs = 4;
+  std::size_t jobs = 0;
   std::uint32_t intra_jobs = 8;
   std::size_t repeats = 64;
   bool run_micro = true;
   bool run_scaling = true;
   bool run_intra = true;
-  bool run_attacker = true;
-  bool run_wan = true;
-  bool run_workload = true;
   bool run_run_length = true;
   bool only_scaling = false;
-  if (const char* env = std::getenv("BFTSIM_JOBS")) {
-    const long value = std::strtol(env, nullptr, 10);
-    if (value > 0) jobs = static_cast<std::size_t>(value);
-  }
 
   // Strip our flags before handing argv to google-benchmark.
   int kept = 1;
@@ -812,22 +662,18 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      jobs = cli::arg<std::uint64_t>("micro_engine", "--jobs", argv[++i], 0,
+                                     cli::kMaxJobs);
     } else if (std::strcmp(argv[i], "--intra-jobs") == 0 && i + 1 < argc) {
-      intra_jobs =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      intra_jobs = static_cast<std::uint32_t>(cli::arg<std::uint64_t>(
+          "micro_engine", "--intra-jobs", argv[++i], 0, cli::kMaxJobs));
     } else if (std::strcmp(argv[i], "--skip-intra") == 0) {
       run_intra = false;
-    } else if (std::strcmp(argv[i], "--skip-attacker") == 0) {
-      run_attacker = false;
-    } else if (std::strcmp(argv[i], "--skip-wan") == 0) {
-      run_wan = false;
-    } else if (std::strcmp(argv[i], "--skip-workload") == 0) {
-      run_workload = false;
     } else if (std::strcmp(argv[i], "--skip-run-length") == 0) {
       run_run_length = false;
     } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      repeats = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      repeats = cli::arg<std::uint64_t>("micro_engine", "--repeats",
+                                        argv[++i], 1, 1'000'000);
     } else if (std::strcmp(argv[i], "--skip-micro") == 0) {
       run_micro = false;
     } else if (std::strcmp(argv[i], "--skip-scaling") == 0) {
@@ -862,24 +708,11 @@ int main(int argc, char** argv) {
   if (run_micro) benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // Named locals pin the measurement (and print) order — function-argument
-  // evaluation order is unspecified.
-  json::Value engine_throughput = measure_engine_throughput();
-  json::Value scaling = run_scaling ? measure_scaling_curve() : json::Value{};
-  json::Value intra =
-      run_intra ? measure_intra_speedup(intra_jobs) : json::Value{};
-  json::Value attacker_hook =
-      run_attacker ? measure_attacker_hook(repeats) : json::Value{};
-  json::Value wan_backend =
-      run_wan ? measure_wan_backend(repeats) : json::Value{};
-  json::Value client_workload =
-      run_workload ? measure_client_workload(repeats) : json::Value{};
-  json::Value run_length =
-      run_run_length ? measure_run_length() : json::Value{};
-  measure_parallel_speedup(json_path, jobs, repeats,
-                           std::move(engine_throughput), std::move(scaling),
-                           std::move(intra), intra_jobs,
-                           std::move(attacker_hook), std::move(wan_backend),
-                           std::move(client_workload), std::move(run_length));
+  json::Object records;
+  if (run_scaling) records["scaling"] = measure_scaling_curve();
+  if (run_intra) records["intra_speedup"] = measure_intra_speedup(intra_jobs);
+  records["ladder"] = measure_ladder(repeats);
+  if (run_run_length) records["run_length"] = measure_run_length();
+  measure_parallel_speedup(json_path, jobs, repeats, intra_jobs, records);
   return 0;
 }

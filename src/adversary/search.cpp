@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/thread_pool.hpp"
-#include "explore/fan_out.hpp"
 #include "explore/shrink.hpp"
 #include "protocols/registry.hpp"
 #include "sim/simulation.hpp"
@@ -119,7 +118,7 @@ SearchReport run_search(const SearchOptions& options) {
         for (const ParamVector& pv : batch) {
           if (seen.insert(pv).second) fresh.push_back(pv);
         }
-        auto slots = explore::fan_out(pool, fresh.size(), [&](std::size_t i) {
+        auto slots = fan_out(pool, fresh.size(), [&](std::size_t i) {
           const SimConfig cfg = attacked_config(base, space, fresh[i]);
           const RunResult result = run_simulation(cfg);
           return explore::Evidence{

@@ -12,9 +12,10 @@
 // Determinism contract: the whole SearchReport — candidates, scores,
 // incumbents, shrunk configs, fingerprints, ranking — is a pure function
 // of (options minus jobs). Candidate batches fan out across a thread pool
-// (explore/fan_out.hpp) but land in per-index slots and fold up in index
-// order (first maximum wins ties), cells run sequentially, and shrinking
-// is serial, so reports are byte-identical for every `jobs` value.
+// (fan_out, core/thread_pool.hpp) but land in per-index slots and fold up
+// in index order (first maximum wins ties), cells run sequentially, and
+// shrinking is serial, so reports are byte-identical for every `jobs`
+// value.
 #pragma once
 
 #include <cstdint>

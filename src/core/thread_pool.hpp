@@ -10,9 +10,13 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace bftsim {
@@ -95,5 +99,34 @@ class ThreadPool {
 /// are deterministic regardless of scheduling).
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
+
+/// The outcome of one fan_out() index: its value, or the error it threw.
+template <typename T>
+struct Slot {
+  std::optional<T> value;  ///< empty when the call threw
+  std::string error;       ///< the exception's message when it threw
+};
+
+/// Calls `fn(i)` for every i in [0, count) on `pool` and returns one slot
+/// per index, in index order. An exception is caught inside its slot, so
+/// one throwing call never aborts the batch; folding the slots in index
+/// order makes whatever the caller derives from them independent of the
+/// job count and of scheduling. The guarded sweep, the fuzz campaign and
+/// the adversary search's candidate batches fan out through it.
+template <typename Fn>
+[[nodiscard]] auto fan_out(ThreadPool& pool, std::size_t count, const Fn& fn) {
+  using T = std::invoke_result_t<const Fn&, std::size_t>;
+  std::vector<Slot<T>> slots(count);
+  parallel_for(pool, count, [&slots, &fn](std::size_t i) {
+    try {
+      slots[i].value.emplace(fn(i));
+    } catch (const std::exception& e) {
+      slots[i].error = e.what();
+    } catch (...) {
+      slots[i].error = "unknown exception";
+    }
+  });
+  return slots;
+}
 
 }  // namespace bftsim

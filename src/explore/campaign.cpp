@@ -6,7 +6,6 @@
 #include "core/config_check.hpp"
 #include "core/thread_pool.hpp"
 #include "explore/canary.hpp"
-#include "explore/fan_out.hpp"
 #include "runner/export.hpp"
 #include "sim/simulation.hpp"
 

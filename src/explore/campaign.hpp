@@ -9,10 +9,10 @@
 // Determinism contract: the whole CampaignReport — which scenarios exist,
 // which violate, what each shrinks to, every fingerprint — is a pure
 // function of (space, seed, scenario_count, watchdog, shrink budget).
-// Scenarios fan out across a thread pool (explore/fan_out.hpp) but land in
-// per-index slots and are aggregated in index order, so the report is
-// identical for every `jobs` value, and contains no wall-clock or
-// host-dependent data.
+// Scenarios fan out across a thread pool (fan_out, core/thread_pool.hpp)
+// but land in per-index slots and are aggregated in index order, so the
+// report is identical for every `jobs` value, and contains no wall-clock
+// or host-dependent data.
 #pragma once
 
 #include <cstdint>

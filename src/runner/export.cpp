@@ -189,7 +189,6 @@ json::Value run_failure_to_json(const RunFailure& failure) {
   o["seed"] = static_cast<std::int64_t>(failure.seed);
   o["label"] = failure.label;
   o["error"] = failure.error;
-  o["suppressed_failures"] = static_cast<std::int64_t>(failure.suppressed);
   o["config"] = failure.config.to_json();
   return json::Value{std::move(o)};
 }

@@ -150,52 +150,32 @@ SweepOutcome run_sweep_guarded(const std::vector<SimConfig>& points,
   const auto point_label = [&labels](std::size_t p) {
     return labels.empty() ? "point-" + std::to_string(p) : labels[p];
   };
-  struct Slot {
-    RunResult result;
-    std::string error;
-    bool failed = false;
-  };
-  std::vector<std::vector<Slot>> slots(points.size());
-  for (std::vector<Slot>& point_slots : slots) point_slots.resize(repeats);
-
   // Same flat (point, repeat) fan-out as run_sweep, but nothing a run
   // throws escapes its slot: the sweep always completes and failures are
   // reported as data.
+  const std::size_t count = points.size() * repeats;
   ThreadPool pool(jobs == 0 ? ThreadPool::default_workers() : jobs);
-  for (std::size_t flat = 0; flat < points.size() * repeats; ++flat) {
-    pool.submit([&points, &slots, &watchdog, repeats, flat] {
-      const std::size_t p = flat / repeats;
-      const std::size_t i = flat % repeats;
-      Slot& slot = slots[p][i];
-      try {
-        SimConfig cfg = watchdog.apply(points[p]);
-        cfg.seed = points[p].seed + i;
-        slot.result = run_kept(cfg);
-      } catch (const std::exception& e) {
-        slot.failed = true;
-        slot.error = e.what();
-      } catch (...) {
-        slot.failed = true;
-        slot.error = "unknown exception";
-      }
-    });
-  }
-
+  std::vector<Slot<RunResult>> slots;
   SweepOutcome outcome;
-  // The per-slot try/catch above absorbs everything a run can throw, so an
-  // exception out of wait_idle means the sweep infrastructure itself failed
-  // (e.g. out-of-memory recording a slot error). Record it as a failure —
-  // including how many further exceptions wait_idle discarded with it —
-  // rather than losing the whole sweep.
+  // fan_out absorbs everything a run can throw, so an exception out of it
+  // means the sweep infrastructure itself failed (e.g. out-of-memory
+  // recording a slot error). Record it as a failure rather than losing the
+  // whole sweep; every run's result was lost with the batch.
   try {
-    pool.wait_idle();
+    slots =
+        fan_out(pool, count, [&points, &watchdog, repeats](std::size_t flat) {
+          const std::size_t p = flat / repeats;
+          SimConfig cfg = watchdog.apply(points[p]);
+          cfg.seed = points[p].seed + flat % repeats;
+          return run_kept(cfg);
+        });
   } catch (const std::exception& e) {
     RunFailure failure;
     failure.label = "sweep";
     failure.error = std::string("sweep infrastructure failure: ") + e.what();
     failure.config = points.empty() ? SimConfig{} : watchdog.apply(points[0]);
     failure.seed = failure.config.seed;
-    failure.suppressed = pool.last_suppressed_failures();
+    slots.assign(count, Slot<RunResult>{std::nullopt, failure.error});
     outcome.failures.push_back(std::move(failure));
   }
   outcome.points.reserve(points.size());
@@ -204,8 +184,8 @@ SweepOutcome run_sweep_guarded(const std::vector<SimConfig>& points,
     std::vector<RunResult> completed;
     completed.reserve(repeats);
     for (std::size_t i = 0; i < repeats; ++i) {
-      const Slot& slot = slots[p][i];
-      if (slot.failed) {
+      Slot<RunResult>& slot = slots[p * repeats + i];
+      if (!slot.value) {
         ++point.tally.failed;
         RunFailure failure;
         failure.point = p;
@@ -218,13 +198,13 @@ SweepOutcome run_sweep_guarded(const std::vector<SimConfig>& points,
         outcome.failures.push_back(std::move(failure));
         continue;
       }
-      switch (slot.result.termination_reason) {
+      switch (slot.value->termination_reason) {
         case TerminationReason::kDecided: ++point.tally.decided; break;
         case TerminationReason::kHorizon: ++point.tally.horizon; break;
         case TerminationReason::kEventBudget: ++point.tally.event_budget; break;
         case TerminationReason::kQueueDrained: ++point.tally.queue_drained; break;
       }
-      completed.push_back(slot.result);
+      completed.push_back(std::move(*slot.value));
     }
     point.aggregate = aggregate_results(completed);
     outcome.points.push_back(std::move(point));

@@ -110,10 +110,6 @@ struct RunFailure {
   std::string label;
   std::string error;       ///< exception message
   SimConfig config;        ///< full failing config (seed already applied)
-  /// Further failures discarded alongside this one. Only nonzero on
-  /// infrastructure-level failures (ThreadPool::wait_idle rethrows the
-  /// first captured exception; this records how many more it swallowed).
-  std::size_t suppressed = 0;
 };
 
 /// Per-point census of how runs ended (see TerminationReason).

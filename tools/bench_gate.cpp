@@ -1,27 +1,24 @@
 // Bench regression gate for CI.
 //
 // Compares a fresh `micro_engine --json` report against the recorded
-// reference medians in BENCH_engine.json, workload by workload (matched on
-// protocol + n). The reference value is the median of the recorded
-// `new_samples` (falling back to `new_events_per_sec`); the gate fails
-// when any measured events/sec drops more than --tolerance (default 0.25,
-// i.e. 25%) below its reference. Faster-than-reference results always
-// pass — the gate only guards against regressions.
+// reference in BENCH_engine.json, record by record. Faster-than-reference
+// results always pass — the gate only guards against regressions. A record
+// present in only one of the two files is not compared, except the
+// run-length curve, which is gated on its own shape (below).
 //
 // When both files carry a "scaling" record (the n-scaling curve, see
 // docs/SCALING.md: its own "hardware_threads" and a "points" array), each
-// matched point is gated twice: events/sec must
-// stay above the --tolerance floor, and bytes_per_node must stay below
-// the --mem-tolerance ceiling (default 0.35). Memory points whose
-// reference is under 4 KiB/node are skipped — at that size the reading is
-// page-granularity noise, not a budget. The events/sec floor is likewise
-// skipped for points whose reference run lasted under 0.1 s: a
-// tens-of-milliseconds run flaps well past any sane tolerance on a busy
-// machine, and small-n speed is already gated by the engine_throughput
-// workloads (whose runs are repeated, not one-shot). Memory stays gated
-// at every size — the allocation sequence is deterministic, so bytes/node
-// is stable even when the wall clock is not. Files without a scaling
-// section gate workloads only, so the two checks roll out independently.
+// matched point is gated twice: events/sec must stay above the
+// --tolerance floor (default 0.25, i.e. at most 25% below the reference),
+// and bytes_per_node must stay below the --mem-tolerance ceiling (default
+// 0.35). Memory points whose reference is under 4 KiB/node are skipped —
+// at that size the reading is page-granularity noise, not a budget. The
+// events/sec floor is likewise skipped for points whose reference run
+// lasted under 0.1 s: a tens-of-milliseconds run flaps well past any sane
+// tolerance on a busy machine, and small-n serial speed is gated by the
+// layer ladder's base row (below). Memory stays gated at every size — the
+// allocation sequence is deterministic, so bytes/node is stable even when
+// the wall clock is not.
 //
 // The current file's curve is also gated on its own shape, per protocol
 // (kFlatScaling gives each limit and its origin): at the largest n,
@@ -35,8 +32,9 @@
 // they differ, the gate refuses to compare (exit 2) — events/sec and
 // speedup figures from different machines are not comparable evidence.
 // --allow-thread-mismatch downgrades the refusal to a warning and gates
-// the thread-count-insensitive records (serial throughput, memory), plus
-// the intra speedup floor when that record's own count matches (below).
+// the rest: serial scaling events/sec, ratios, memory and bit-identity,
+// plus the intra speedup and the ladder's base events/sec where their own
+// record's thread count matches (below).
 //
 // When both files carry an "intra_speedup" record (the windowed-parallel
 // driver vs its serial per-node-RNG baseline; see docs/PARALLELISM.md),
@@ -44,29 +42,20 @@
 // true) — a divergent parallel run fails regardless of speed — and its
 // speedup must stay above the --tolerance floor whenever the two intra
 // records were taken with the same hardware thread count. That count is
-// the record's own "hardware_threads" (the intra record may be re-taken
-// on another machine than the rest of the file), falling back to the
-// file's.
+// the record's own "hardware_threads" (a record may be re-taken on
+// another machine than the rest of the file), falling back to the file's.
 //
-// When both files carry an "attacker_hook" record (the passive fast path
-// vs a no-op attack on the same workload), the current run must have been
-// equivalent ("identical": true) and its overhead ratio must stay below
-// (1 + tolerance) x max(reference ratio, 1.0).
-//
-// When both files carry a "wan_backend" record (the WAN transport backend
-// vs direct broadcast on the same workload; see docs/NETWORKING.md), every
-// matched mode must have been deterministic ("deterministic": true — two
-// same-seed runs produced equivalent aggregates) and its
-// relative_throughput (mode events/sec over direct events/sec, a
-// machine-portable per-event-cost ratio) must stay above the --tolerance
-// floor of the reference ratio.
-//
-// When both files carry a "client_workload" record (the request generator
-// vs request-free runs on the same base config; see docs/WORKLOADS.md),
-// every matched mode must have been deterministic ("deterministic": true)
-// and its relative_throughput (mode events/sec over no-workload
-// events/sec) must stay above the --tolerance floor of the reference
-// ratio.
+// When both files carry a "ladder" record (one fixed workload with one
+// layer added per rung: attacker hook, WAN backend pieces, client
+// workloads; see docs/RUNNING_EXPERIMENTS.md), one rule gates every
+// matched rung: it fails if it was not deterministic (its aggregate
+// changed between pairs), if the reference rung was "same_as_base" and
+// the current one is not (a layer that may cost time but never
+// semantics), or if its relative_throughput (rung events/sec over base
+// events/sec, a same-moment ratio) falls below the --tolerance floor of
+// the reference's. The base rung's events/sec is gated at --tolerance too
+// when the two ladder records' thread counts match, like the intra
+// speedup.
 //
 // When the current file carries a "run_length" record (pbft, hotstuff-ns
 // and tendermint at n=16 for 1k and 4k decisions; see docs/SCALING.md,
@@ -88,11 +77,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/json.hpp"
 
 namespace {
@@ -107,18 +96,6 @@ using bftsim::json::Value;
                argv0);
   std::exit(2);
 }
-
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-struct Reference {
-  std::string protocol;
-  std::int64_t n = 0;
-  double events_per_sec = 0.0;
-};
 
 /// One point of the n-scaling curve (reference or measured).
 struct ScalePoint {
@@ -181,6 +158,17 @@ std::vector<ScalePoint> parse_scaling(const Value& doc) {
   return points;
 }
 
+/// Whether records `ref` and `cur` were taken with the same hardware
+/// thread count: each record's own "hardware_threads", falling back to its
+/// file's; an unknown count matches anything.
+bool threads_match(const Value& ref, const Value& cur,
+                   std::int64_t ref_file_threads,
+                   std::int64_t cur_file_threads) {
+  const std::int64_t r = ref.get_int("hardware_threads", ref_file_threads);
+  const std::int64_t c = cur.get_int("hardware_threads", cur_file_threads);
+  return r <= 0 || c <= 0 || r == c;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,9 +189,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--reference") {
       reference_path = next();
     } else if (arg == "--tolerance") {
-      tolerance = std::strtod(next(), nullptr);
+      tolerance = bftsim::cli::arg("bench_gate", arg, next(), 0.0, 1.0);
     } else if (arg == "--mem-tolerance") {
-      mem_tolerance = std::strtod(next(), nullptr);
+      mem_tolerance = bftsim::cli::arg("bench_gate", arg, next(), 0.0, 1e6);
     } else if (arg == "--allow-thread-mismatch") {
       allow_thread_mismatch = true;
     } else {
@@ -242,72 +230,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::printf("WARN  thread-count mismatch (ref %lld, current %lld): "
-                  "parallel speedups gated only where the intra record's own "
-                  "thread count matches\n",
+                  "intra speedups and ladder events/sec gated only where "
+                  "their own record's thread count matches\n",
                   static_cast<long long>(ref_threads),
                   static_cast<long long>(cur_threads));
     }
 
-    std::vector<Reference> references;
-    const Value* workloads = reference_doc.as_object().find("workloads");
-    if (workloads == nullptr) {
-      std::fprintf(stderr, "%s: no \"workloads\" array\n",
-                   reference_path.c_str());
-      return 2;
-    }
-    for (const Value& w : workloads->as_array()) {
-      Reference ref;
-      ref.protocol = w.get_string("protocol", "");
-      ref.n = w.get_int("n", 0);
-      std::vector<double> samples;
-      if (const Value* s = w.as_object().find("new_samples")) {
-        for (const Value& x : s->as_array()) samples.push_back(x.as_number());
-      }
-      ref.events_per_sec = samples.empty()
-                               ? w.get_number("new_events_per_sec", 0.0)
-                               : median(std::move(samples));
-      if (!ref.protocol.empty() && ref.events_per_sec > 0.0) {
-        references.push_back(std::move(ref));
-      }
-    }
-
-    // A current file may carry engine_throughput rows, a scaling curve, or
-    // both (micro_engine --only-scaling records just the curve); gate
-    // whatever is present and fail only when there is nothing to compare.
-    const Value* rows = current_doc.as_object().find("engine_throughput");
-    const bftsim::json::Array empty_rows;
-    const bftsim::json::Array& throughput_rows =
-        rows != nullptr ? rows->as_array() : empty_rows;
-
     int regressions = 0;
-    int compared = 0;
-    for (const Value& row : throughput_rows) {
-      const std::string protocol = row.get_string("protocol", "");
-      const std::int64_t n = row.get_int("n", 0);
-      const double measured = row.get_number("events_per_sec", 0.0);
-      const auto ref = std::find_if(
-          references.begin(), references.end(), [&](const Reference& r) {
-            return r.protocol == protocol && r.n == n;
-          });
-      if (ref == references.end()) {
-        std::printf("SKIP  %-12s n=%-4lld %12.0f ev/s (no reference)\n",
-                    protocol.c_str(), static_cast<long long>(n), measured);
-        continue;
-      }
-      ++compared;
-      const double floor = (1.0 - tolerance) * ref->events_per_sec;
-      const double ratio = measured / ref->events_per_sec;
-      if (measured < floor) {
-        ++regressions;
-        std::printf("FAIL  %-12s n=%-4lld %12.0f ev/s vs ref %.0f (%.0f%%)\n",
-                    protocol.c_str(), static_cast<long long>(n), measured,
-                    ref->events_per_sec, 100.0 * ratio);
-      } else {
-        std::printf("OK    %-12s n=%-4lld %12.0f ev/s vs ref %.0f (%.0f%%)\n",
-                    protocol.c_str(), static_cast<long long>(n), measured,
-                    ref->events_per_sec, 100.0 * ratio);
-      }
-    }
 
     // --- n-scaling curve: throughput floor + bytes/node ceiling ----------
     const std::vector<ScalePoint> scale_refs = parse_scaling(reference_doc);
@@ -411,13 +340,8 @@ int main(int argc, char** argv) {
     const Value* intra_cur = current_doc.as_object().find("intra_speedup");
     if (intra_ref != nullptr && intra_cur != nullptr &&
         intra_ref->is_object() && intra_cur->is_object()) {
-      const std::int64_t intra_ref_threads =
-          intra_ref->get_int("hardware_threads", ref_threads);
-      const std::int64_t intra_cur_threads =
-          intra_cur->get_int("hardware_threads", cur_threads);
-      const bool intra_threads_match = intra_ref_threads <= 0 ||
-                                       intra_cur_threads <= 0 ||
-                                       intra_ref_threads == intra_cur_threads;
+      const bool intra_threads_match =
+          threads_match(*intra_ref, *intra_cur, ref_threads, cur_threads);
       const Value* ref_rows = intra_ref->as_object().find("workloads");
       const Value* cur_rows = intra_cur->as_object().find("workloads");
       if (ref_rows != nullptr && cur_rows != nullptr && ref_rows->is_array() &&
@@ -426,8 +350,7 @@ int main(int argc, char** argv) {
           const std::string protocol = cur.get_string("protocol", "");
           const std::int64_t n = cur.get_int("n", 0);
           const double measured = cur.get_number("speedup", 0.0);
-          const bool identical = cur.as_object().find("identical") != nullptr &&
-                                 cur.as_object().at("identical").as_bool();
+          const bool identical = cur.get_bool("identical", false);
           const bftsim::json::Array& refs = ref_rows->as_array();
           const auto ref = std::find_if(
               refs.begin(), refs.end(), [&](const Value& r) {
@@ -471,146 +394,76 @@ int main(int argc, char** argv) {
       }
     }
 
-    // --- attacker hook overhead: equivalence + overhead-ratio ceiling ------
-    // The ratio (hooked/passive wall time on the same machine, back to
-    // back) is largely thread-count-insensitive, so it is gated even under
-    // --allow-thread-mismatch; equivalence is gated unconditionally.
-    int hook_compared = 0;
-    const Value* hook_ref = reference_doc.as_object().find("attacker_hook");
-    const Value* hook_cur = current_doc.as_object().find("attacker_hook");
-    if (hook_ref != nullptr && hook_cur != nullptr && hook_ref->is_object() &&
-        hook_cur->is_object()) {
-      ++hook_compared;
-      const double ref_ratio = hook_ref->get_number("overhead_ratio", 0.0);
-      const double cur_ratio = hook_cur->get_number("overhead_ratio", 0.0);
-      const bool identical =
-          hook_cur->as_object().find("identical") != nullptr &&
-          hook_cur->as_object().at("identical").as_bool();
-      bool ok = true;
-      if (!identical) {
-        ok = false;
-        ++regressions;
-        std::printf("FAIL  attacker-hook run diverged from the passive "
-                    "baseline\n");
-      }
-      // Ratios below 1.0 are timer noise; the ceiling is anchored at the
-      // reference ratio but never below parity.
-      const double ceiling =
-          (1.0 + tolerance) * std::max(ref_ratio, 1.0);
-      if (ref_ratio > 0.0 && cur_ratio > ceiling) {
-        ok = false;
-        ++regressions;
-        std::printf("FAIL  attacker-hook overhead %.2fx vs ref %.2fx "
-                    "(ceiling %.2fx)\n",
-                    cur_ratio, ref_ratio, ceiling);
-      }
-      if (ok) {
-        std::printf("OK    attacker-hook overhead %.2fx vs ref %.2fx\n",
-                    cur_ratio, ref_ratio);
-      }
-    }
-
-    // --- WAN backend: per-mode determinism + relative-throughput floor ----
-    // relative_throughput is a same-machine, same-moment ratio of two
-    // serial runs, so it is gated even under --allow-thread-mismatch.
-    int wan_compared = 0;
-    const Value* wan_ref = reference_doc.as_object().find("wan_backend");
-    const Value* wan_cur = current_doc.as_object().find("wan_backend");
-    if (wan_ref != nullptr && wan_cur != nullptr && wan_ref->is_object() &&
-        wan_cur->is_object()) {
-      const Value* ref_rows = wan_ref->as_object().find("modes");
-      const Value* cur_rows = wan_cur->as_object().find("modes");
+    // --- layer ladder: one rule for every rung ----------------------------
+    // relative_throughput is a same-moment ratio of two serial sides, so it
+    // is gated even under --allow-thread-mismatch; the base rung's absolute
+    // events/sec only against a ladder taken with the same thread count.
+    int ladder_compared = 0;
+    const Value* ladder_ref = reference_doc.as_object().find("ladder");
+    const Value* ladder_cur = current_doc.as_object().find("ladder");
+    if (ladder_ref != nullptr && ladder_cur != nullptr &&
+        ladder_ref->is_object() && ladder_cur->is_object()) {
+      const bool ladder_threads_match =
+          threads_match(*ladder_ref, *ladder_cur, ref_threads, cur_threads);
+      const Value* ref_rows = ladder_ref->as_object().find("rungs");
+      const Value* cur_rows = ladder_cur->as_object().find("rungs");
       if (ref_rows != nullptr && cur_rows != nullptr && ref_rows->is_array() &&
           cur_rows->is_array()) {
         for (const Value& cur : cur_rows->as_array()) {
-          const std::string mode = cur.get_string("mode", "");
+          const std::string rung = cur.get_string("rung", "");
           const double measured = cur.get_number("relative_throughput", 0.0);
-          const bool deterministic =
-              cur.as_object().find("deterministic") != nullptr &&
-              cur.as_object().at("deterministic").as_bool();
           const bftsim::json::Array& refs = ref_rows->as_array();
           const auto ref = std::find_if(
               refs.begin(), refs.end(),
-              [&](const Value& r) { return r.get_string("mode", "") == mode; });
+              [&](const Value& r) { return r.get_string("rung", "") == rung; });
           if (ref == refs.end()) {
-            std::printf("SKIP  wan   %-9s %.2fx direct (no reference)\n",
-                        mode.c_str(), measured);
+            std::printf("SKIP  rung  %-22s %.2fx base (no reference)\n",
+                        rung.c_str(), measured);
             continue;
           }
-          ++wan_compared;
-          const double ref_relative = ref->get_number("relative_throughput", 0.0);
-          bool ok = true;
-          if (!deterministic) {
-            ok = false;
-            ++regressions;
-            std::printf("FAIL  wan   %-9s same-seed runs diverged\n",
-                        mode.c_str());
-          }
-          if (ref_relative > 0.0 &&
-              measured < (1.0 - tolerance) * ref_relative) {
-            ok = false;
-            ++regressions;
-            std::printf("FAIL  wan   %-9s %.2fx direct vs ref %.2fx (%.0f%%)\n",
-                        mode.c_str(), measured, ref_relative,
-                        100.0 * measured / ref_relative);
-          }
-          if (ok) {
-            std::printf("OK    wan   %-9s %.2fx direct vs ref %.2fx\n",
-                        mode.c_str(), measured, ref_relative);
-          }
-        }
-      }
-    }
-
-    // --- Client workload: per-mode determinism + relative-throughput floor.
-    // Like the WAN gate, relative_throughput compares two serial runs on
-    // the same machine, so it holds under --allow-thread-mismatch too.
-    int workload_compared = 0;
-    const Value* wl_ref = reference_doc.as_object().find("client_workload");
-    const Value* wl_cur = current_doc.as_object().find("client_workload");
-    if (wl_ref != nullptr && wl_cur != nullptr && wl_ref->is_object() &&
-        wl_cur->is_object()) {
-      const Value* ref_rows = wl_ref->as_object().find("modes");
-      const Value* cur_rows = wl_cur->as_object().find("modes");
-      if (ref_rows != nullptr && cur_rows != nullptr && ref_rows->is_array() &&
-          cur_rows->is_array()) {
-        for (const Value& cur : cur_rows->as_array()) {
-          const std::string mode = cur.get_string("mode", "");
-          const double measured = cur.get_number("relative_throughput", 0.0);
-          const bool deterministic =
-              cur.as_object().find("deterministic") != nullptr &&
-              cur.as_object().at("deterministic").as_bool();
-          const bftsim::json::Array& refs = ref_rows->as_array();
-          const auto ref = std::find_if(
-              refs.begin(), refs.end(),
-              [&](const Value& r) { return r.get_string("mode", "") == mode; });
-          if (ref == refs.end()) {
-            std::printf("SKIP  wload %-12s %.2fx baseline (no reference)\n",
-                        mode.c_str(), measured);
-            continue;
-          }
-          ++workload_compared;
+          ++ladder_compared;
           const double ref_relative =
               ref->get_number("relative_throughput", 0.0);
           bool ok = true;
-          if (!deterministic) {
+          if (!cur.get_bool("deterministic", false)) {
             ok = false;
             ++regressions;
-            std::printf("FAIL  wload %-12s same-seed runs diverged\n",
-                        mode.c_str());
+            std::printf("FAIL  rung  %-22s aggregate changed between pairs\n",
+                        rung.c_str());
+          }
+          if (ref->get_bool("same_as_base", false) &&
+              !cur.get_bool("same_as_base", false)) {
+            ok = false;
+            ++regressions;
+            std::printf("FAIL  rung  %-22s no longer equals the base\n",
+                        rung.c_str());
           }
           if (ref_relative > 0.0 &&
               measured < (1.0 - tolerance) * ref_relative) {
             ok = false;
             ++regressions;
-            std::printf(
-                "FAIL  wload %-12s %.2fx baseline vs ref %.2fx (%.0f%%)\n",
-                mode.c_str(), measured, ref_relative,
-                100.0 * measured / ref_relative);
+            std::printf("FAIL  rung  %-22s %.2fx base vs ref %.2fx (%.0f%%)\n",
+                        rung.c_str(), measured, ref_relative,
+                        100.0 * measured / ref_relative);
+          }
+          const double eps = cur.get_number("events_per_sec", 0.0);
+          const double ref_eps = ref->get_number("events_per_sec", 0.0);
+          const bool eps_gated = ladder_threads_match && ref_eps > 0.0;
+          if (eps_gated && eps < (1.0 - tolerance) * ref_eps) {
+            ok = false;
+            ++regressions;
+            std::printf("FAIL  rung  %-22s %.0f ev/s vs ref %.0f (%.0f%%)\n",
+                        rung.c_str(), eps, ref_eps, 100.0 * eps / ref_eps);
           }
           if (ok) {
-            std::printf("OK    wload %-12s %.2fx baseline vs ref %.2fx\n",
-                        mode.c_str(), measured, ref_relative);
+            std::printf("OK    rung  %-22s %.2fx base vs ref %.2fx",
+                        rung.c_str(), measured, ref_relative);
+            if (eps_gated) {
+              std::printf(", %.0f ev/s vs ref %.0f", eps, ref_eps);
+            } else if (ref_eps > 0.0) {
+              std::printf(" (ev/s ungated: thread-count mismatch)");
+            }
+            std::printf("\n");
           }
         }
       }
@@ -678,8 +531,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (compared == 0 && scale_compared == 0 && intra_compared == 0 &&
-        hook_compared == 0 && wan_compared == 0 && workload_compared == 0 &&
+    if (scale_compared == 0 && intra_compared == 0 && ladder_compared == 0 &&
         run_length_compared == 0) {
       std::fprintf(stderr, "nothing matched between %s and %s\n",
                    current_path.c_str(), reference_path.c_str());
@@ -689,16 +541,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%d of %d comparisons regressed (>%.0f%% slower "
                    "or >%.0f%% more memory)\n",
                    regressions,
-                   compared + scale_compared + intra_compared + hook_compared +
-                       wan_compared + workload_compared + run_length_compared,
+                   scale_compared + intra_compared + ladder_compared +
+                       run_length_compared,
                    100.0 * tolerance, 100.0 * mem_tolerance);
       return 1;
     }
-    std::printf("all %d workloads, %d scaling points, %d intra-speedup, "
-                "%d attacker-hook, %d wan-backend, %d client-workload and "
-                "%d run-length records within tolerance\n",
-                compared, scale_compared, intra_compared, hook_compared,
-                wan_compared, workload_compared, run_length_compared);
+    std::printf("all %d scaling points, %d intra-speedup, %d ladder and %d "
+                "run-length records within tolerance\n",
+                scale_compared, intra_compared, ladder_compared,
+                run_length_compared);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_gate: %s\n", e.what());

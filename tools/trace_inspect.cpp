@@ -25,10 +25,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/json.hpp"
 #include "core/trace.hpp"
 #include "obs/trace_sink.hpp"
@@ -262,16 +264,18 @@ int main(int argc, char** argv) {
         if (arg == "--kind") {
           filter.kind = next();
         } else if (arg == "--node") {
-          filter.node =
-              static_cast<NodeId>(std::strtoul(next(), nullptr, 10));
+          filter.node = static_cast<NodeId>(cli::arg<std::uint64_t>(
+              "trace_inspect", arg, next(), 0, kNoNode - 1));
         } else if (arg == "--type") {
           filter.type = next();
         } else if (arg == "--from-ms") {
-          filter.from_ms = std::strtod(next(), nullptr);
+          filter.from_ms = cli::arg("trace_inspect", arg, next(), 0.0, 1e12);
         } else if (arg == "--to-ms") {
-          filter.to_ms = std::strtod(next(), nullptr);
+          filter.to_ms = cli::arg("trace_inspect", arg, next(), 0.0, 1e12);
         } else if (arg == "--limit") {
-          filter.limit = std::strtoull(next(), nullptr, 10);
+          filter.limit = cli::arg<std::uint64_t>(
+              "trace_inspect", arg, next(), 0,
+              std::numeric_limits<std::uint64_t>::max());
         } else {
           usage(argv[0]);
         }
