@@ -1,12 +1,11 @@
 // Micro-benchmarks of the simulation engine (google-benchmark): event
 // queue throughput, RNG sampling, and end-to-end runs per engine — the raw
-// numbers behind the simulator's Fig. 2 speed — plus a serial-vs-parallel
-// experiment-runner comparison, an n-scaling curve (events/sec and
-// resident bytes/node at n up to 8192; see docs/SCALING.md), the windowed
-// intra-run speedup, the layer ladder (one fixed pbft workload with one
-// layer added per rung: attacker hook, WAN backend pieces, client
-// workloads) and the run-length curve, all written to a JSON file (default
-// micro_engine.json; --json PATH to move, --jobs N to size the pool,
+// numbers behind the simulator's Fig. 2 speed — plus an n-scaling curve
+// (events/sec and resident bytes/node at n up to 8192; see
+// docs/SCALING.md), the windowed intra-run speedup, the layer ladder (one
+// fixed pbft workload with one layer added per rung: attacker hook, WAN
+// backend pieces, client workloads) and the run-length curve, all written
+// to a JSON file (default micro_engine.json; --json PATH to move,
 // --intra-jobs N to size the windowed-parallel driver, --repeats N runs
 // per timed side, --skip-micro to run only the measurements,
 // --skip-scaling to omit the curve, --skip-intra to omit the windowed
@@ -16,6 +15,7 @@
 // comparisons.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -56,6 +56,70 @@ void BM_EventQueuePushPop(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1'000)->Arg(100'000);
+
+/// The queue under hotstuff-ns's pacemaker pattern: k broadcast runs of 64
+/// copies in flight (a new one queued each 64 deliveries) and n view
+/// timers of one fixed delay, one of which is cancelled and re-armed per
+/// pop, so tombstones stay queued until their fire time. Items are pops;
+/// each iteration fills a fresh queue and pops kPops events.
+void BM_EventQueueRunsAndTimers(benchmark::State& state) {
+  const auto runs = static_cast<std::size_t>(state.range(0));
+  const auto timers = static_cast<std::size_t>(state.range(1));
+  constexpr std::uint32_t kCopies = 64;
+  constexpr std::size_t kPops = 1 << 18;
+  const Time timeout = from_ms(1000.0);
+  Rng rng{3};
+  DelaySampler sampler{DelaySpec::normal(250, 50)};
+  // Delays are drawn up front so the timed loop holds only queue work.
+  std::vector<std::uint32_t> delays(4096);
+  for (std::uint32_t& d : delays) {
+    d = static_cast<std::uint32_t>(std::max<Time>(0, sampler.sample(rng)));
+  }
+  std::vector<RunEntry> build;
+  std::vector<TimerId> armed(timers);
+  for (auto _ : state) {
+    EventQueue queue;
+    Time now = 0;
+    std::size_t next_delay = 0;
+    TimerId next_id = 1;
+    const auto broadcast = [&](NodeId sender) {
+      for (std::uint32_t pos = 0; pos < kCopies; ++pos) {
+        build.push_back({delays[next_delay++ % delays.size()], pos});
+      }
+      queue.push_run({now, queue.draw_seqs(kCopies), 0, sender}, build);
+    };
+    const auto arm = [&](std::size_t slot, Time at) {
+      armed[slot] = next_id;
+      queue.push(at, TimerFire{TimerOwner::kNode, static_cast<NodeId>(slot),
+                               next_id++, 0});
+    };
+    for (std::size_t i = 0; i < runs; ++i) {
+      broadcast(static_cast<NodeId>(i % kCopies));
+    }
+    for (std::size_t i = 0; i < timers; ++i) {
+      arm(i, timeout * static_cast<Time>(i + 1) / static_cast<Time>(timers));
+    }
+    std::size_t delivered = 0;
+    for (std::size_t pop = 0; pop < kPops; ++pop) {
+      const Event ev = queue.pop();
+      now = ev.at;
+      if (const auto* fire = std::get_if<TimerFire>(&ev.body)) {
+        if (!queue.consume_cancellation(fire->timer)) {
+          arm(fire->node, now + timeout);
+        }
+      } else if (++delivered % kCopies == 0) {
+        broadcast(static_cast<NodeId>(delivered / kCopies % kCopies));
+      }
+      const std::size_t slot = pop % timers;
+      (void)queue.cancel_timer(armed[slot]);
+      arm(slot, now + timeout);
+    }
+    benchmark::DoNotOptimize(queue.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPops));
+}
+BENCHMARK(BM_EventQueueRunsAndTimers)->Args({16, 1024})->Args({256, 4096});
 
 void BM_RngNormalSample(benchmark::State& state) {
   Rng rng{2};
@@ -348,9 +412,8 @@ json::Value measure_run_length() {
 }
 
 /// Times the windowed-parallel driver against its own serial baseline
-/// (engine.rng = "per_node", intra_jobs = 1) on large single runs — the
-/// intra-run counterpart of the run_repeated comparison below. Both modes
-/// execute the identical per-node-RNG semantics, so the results must be
+/// (engine.rng = "per_node", intra_jobs = 1) on large single runs. Both
+/// modes execute the identical per-node-RNG semantics, so the results must be
 /// bit-identical; speedup tracks the machine (~1x on one core), so the
 /// record carries its own hardware_threads. Each workload runs kPairs
 /// alternating serial/parallel pairs; the row reports the median pair
@@ -584,70 +647,10 @@ json::Value measure_ladder(std::size_t repeats) {
   return json::Value{std::move(o)};
 }
 
-/// Times run_repeated vs run_repeated_parallel on the same workload,
-/// checks the aggregates are equivalent, prints the comparison, and
-/// writes it to `json_path` together with the other `records`. Speedup
-/// tracks the machine: ~min(jobs, cores)× on idle multi-core hosts, ~1× on
-/// a single core.
-void measure_parallel_speedup(const std::string& json_path, std::size_t jobs,
-                              std::size_t repeats, std::uint32_t intra_jobs,
-                              const json::Object& records) {
-  SimConfig cfg;
-  cfg.protocol = "pbft";
-  cfg.n = 32;
-  cfg.lambda_ms = 1000;
-  cfg.delay = DelaySpec::normal(250, 50);
-  cfg.seed = 1;
-
-  // Warm-up: touch the registry and fault in code/pages outside the
-  // timed sections.
-  (void)run_repeated(cfg, 2);
-
-  const auto serial_start = std::chrono::steady_clock::now();
-  const Aggregate serial = run_repeated(cfg, repeats);
-  const double serial_seconds = seconds_since(serial_start);
-
-  const auto parallel_start = std::chrono::steady_clock::now();
-  const Aggregate parallel = run_repeated_parallel(cfg, repeats, jobs);
-  const double parallel_seconds = seconds_since(parallel_start);
-
-  const bool identical = equivalent(serial, parallel);
-  const double speedup =
-      parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
-
-  std::printf("\n--- run_repeated serial vs parallel (pbft, n=32, %zu runs) ---\n",
-              repeats);
-  std::printf("serial:    %.3f s\n", serial_seconds);
-  std::printf("parallel:  %.3f s  (%zu jobs, %u hardware threads)\n",
-              parallel_seconds, jobs, std::thread::hardware_concurrency());
-  std::printf("speedup:   %.2fx\n", speedup);
-  std::printf("aggregates identical (modulo wall clock): %s\n",
-              identical ? "yes" : "NO — determinism bug");
-
-  json::Object o;
-  o["bench"] = "micro_engine";
-  o["workload"] = "run_repeated pbft n=32";
-  o["repeats"] = static_cast<std::int64_t>(repeats);
-  o["jobs"] = static_cast<std::int64_t>(jobs);
-  o["hardware_threads"] =
-      static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  o["intra_jobs"] = static_cast<std::int64_t>(intra_jobs);
-  o["serial_seconds"] = serial_seconds;
-  o["parallel_seconds"] = parallel_seconds;
-  o["speedup"] = speedup;
-  o["aggregates_identical"] = identical;
-  o["serial_aggregate"] = aggregate_to_json(serial);
-  o["parallel_aggregate"] = aggregate_to_json(parallel);
-  for (const auto& [key, record] : records) o[key] = record;
-  write_json_file(json_path, json::Value{std::move(o)});
-  std::printf("[speedup record written to %s]\n", json_path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path = "micro_engine.json";
-  std::size_t jobs = 0;
   std::uint32_t intra_jobs = 8;
   std::size_t repeats = 64;
   bool run_micro = true;
@@ -661,9 +664,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = cli::arg<std::uint64_t>("micro_engine", "--jobs", argv[++i], 0,
-                                     cli::kMaxJobs);
     } else if (std::strcmp(argv[i], "--intra-jobs") == 0 && i + 1 < argc) {
       intra_jobs = static_cast<std::uint32_t>(cli::arg<std::uint64_t>(
           "micro_engine", "--intra-jobs", argv[++i], 0, cli::kMaxJobs));
@@ -685,7 +685,6 @@ int main(int argc, char** argv) {
     }
   }
   argc = kept;
-  if (jobs == 0) jobs = bftsim::ThreadPool::default_workers();
   if (intra_jobs == 0) {
     intra_jobs =
         static_cast<std::uint32_t>(bftsim::ThreadPool::default_workers());
@@ -708,11 +707,17 @@ int main(int argc, char** argv) {
   if (run_micro) benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  json::Object records;
-  if (run_scaling) records["scaling"] = measure_scaling_curve();
-  if (run_intra) records["intra_speedup"] = measure_intra_speedup(intra_jobs);
-  records["ladder"] = measure_ladder(repeats);
-  if (run_run_length) records["run_length"] = measure_run_length();
-  measure_parallel_speedup(json_path, jobs, repeats, intra_jobs, records);
+  json::Object o;
+  o["bench"] = "micro_engine";
+  o["repeats"] = static_cast<std::int64_t>(repeats);
+  o["hardware_threads"] =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  o["intra_jobs"] = static_cast<std::int64_t>(intra_jobs);
+  if (run_scaling) o["scaling"] = measure_scaling_curve();
+  if (run_intra) o["intra_speedup"] = measure_intra_speedup(intra_jobs);
+  o["ladder"] = measure_ladder(repeats);
+  if (run_run_length) o["run_length"] = measure_run_length();
+  write_json_file(json_path, json::Value{std::move(o)});
+  std::printf("[records written to %s]\n", json_path.c_str());
   return 0;
 }

@@ -1,6 +1,7 @@
-// The simulator's event queue: a 4-ary min-heap ordered by
-// (timestamp, insertion sequence number) whose entries are merge cursors
-// over sorted delivery runs, with lazy deletion of cancelled timers.
+// The simulator's event queue: two 4-ary min-heaps ordered by
+// (timestamp, insertion sequence number), one whose entries are merge
+// cursors over sorted delivery runs and one of timer fires with lazy
+// deletion of cancelled timers; a pop takes the earlier of the two tops.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +29,15 @@ struct RunEntry {
 
 /// Priority queue of simulation events, deterministic under ties.
 ///
+/// Two heaps. Deliveries queue in the message heap and timer fires in the
+/// timer heap; pop() takes whichever top is earlier by (at, key). Keys are
+/// unique within a queue, so the merged order is exactly the (at, key)
+/// order of one heap holding both. Timers are a large share of what is
+/// queued (a pacemaker re-arms one per node per round, and cancelled ones
+/// stay queued until their fire time), so splitting them off keeps the
+/// message heap small enough to stay in cache, and a delivery's sift never
+/// walks past timer entries.
+///
 /// Runs. A broadcast's fast-path copies share one envelope and take one key
 /// per fan-out position, drawn (lane engine) or reserved (serial engine,
 /// draw_seqs()) up front: a dropped copy leaves its key unused, a corrupted
@@ -37,20 +47,20 @@ struct RunEntry {
 /// bits (over 71 minutes of µs) is pushed alone instead. The sender appends
 /// a run's copies in position order to a build buffer and queues it when
 /// the fan-out ends (push_run()); the queue sorts it by (at, key) and
-/// copies it into chunks of 64 entries from its free list, behind one heap
-/// entry, a cursor keyed by the run's head. pop() takes the head and
-/// advances the cursor in place (DaryHeap::replace_top). The heap thus
-/// holds one entry per broadcast in flight instead of one per copy, while
-/// the pop order stays exactly the (at, key) order of every queued copy: a
-/// merge of sorted runs by unique keys is the sorted order. A run's first
-/// chunk is filled at its end and pop() frees each chunk as its last entry
-/// pops, so a run holds ceil(queued copies / 64) chunks: run memory follows
-/// the copies still in flight, not the broadcasts' sizes. Chunks are cut
-/// from slabs of 64 to 4096 chunks (take_chunk()), not allocated one by
-/// one. A single push() (a unicast, a self-delivery, a corrupted or
-/// attacker-path copy) and a run of one that push_run() queues need no
-/// chunk, because the envelope and destination fit in the heap entry's
-/// handle.
+/// copies it into chunks of 64 entries from its free list, behind one
+/// message-heap entry, a cursor keyed by the run's head. pop() takes the
+/// head and advances the cursor in place (DaryHeap::replace_top). The
+/// message heap thus holds one entry per broadcast in flight instead of one
+/// per copy, while the pop order stays exactly the (at, key) order of every
+/// queued copy: a merge of sorted runs by unique keys is the sorted order.
+/// A run's first chunk is filled at its end and pop() frees each chunk as
+/// its last entry pops, so a run holds ceil(queued copies / 64) chunks: run
+/// memory follows the copies still in flight, not the broadcasts' sizes.
+/// Chunks are cut from slabs of 64 to 4096 chunks (take_chunk()), not
+/// allocated one by one. A single push() (a unicast, a self-delivery, a
+/// corrupted or attacker-path copy) and a run of one that push_run() queues
+/// need no chunk, because the envelope and destination fit in the heap
+/// entry's handle.
 ///
 /// Lanes. The lane engine seals a run bound for another lane on the
 /// sending lane (seal(): sorted, in the sender's chunks; a sealed run of
@@ -58,16 +68,17 @@ struct RunEntry {
 /// adopt(), which takes the chunks and hands the sender as many free ones,
 /// so each queue's pool stays the same size.
 ///
-/// Heap entries are 24 bytes: (at, key, handle), where the handle names a
-/// run slot, a timer slot or a run of one. A timer's owner, node and tag
-/// sit in its recycled timer slot rather than in the TimerId-indexed state
-/// below, because callers may queue the same id more than once.
+/// Heap entries are 24 bytes: (at, key, handle). A message-heap handle
+/// names a run slot or a run of one; a timer-heap handle is a timer slot. A
+/// timer's owner, node and tag sit in its recycled timer slot rather than
+/// in the TimerId-indexed state below, because callers may queue the same
+/// id more than once.
 ///
 /// Timer cancellation is lazy: a cancelled timer's fire event stays in the
-/// heap (removing it eagerly would be O(n)) and its id is tombstoned while
-/// the event is queued; popping it retires the tombstone and leaves a mark
-/// the dispatcher consumes. size() counts every queued copy, so at every
-/// instant size() == queued deliveries + pending_timer_count() +
+/// timer heap (removing it eagerly would be O(n)) and its id is tombstoned
+/// while the event is queued; popping it retires the tombstone and leaves a
+/// mark the dispatcher consumes. size() counts every queued copy, so at
+/// every instant size() == queued deliveries + pending_timer_count() +
 /// tombstone_count(), including between a pop and its dispatch. The queue
 /// tracks which timer ids are actually pending, so cancelling a timer that
 /// already fired — or was never scheduled — leaves no tombstone behind;
@@ -142,19 +153,19 @@ class EventQueue {
   void push_keyed(Time at, std::uint64_t key, Body&& body) {
     using B = std::decay_t<Body>;
     if constexpr (std::is_same_v<B, MessageDelivery>) {
-      heap_.push(Entry{at, key, single(body.env, body.dst)});
+      messages_.push(Entry{at, key, single(body.env, body.dst)});
     } else if constexpr (std::is_same_v<B, TimerFire>) {
       mark_pending(body.timer);
       std::uint32_t slot;
       if (free_timers_.empty()) {
-        slot = static_cast<std::uint32_t>(timers_.size());
-        timers_.push_back(body);
+        slot = static_cast<std::uint32_t>(timer_slots_.size());
+        timer_slots_.push_back(body);
       } else {
         slot = free_timers_.back();
         free_timers_.pop_back();
-        timers_[slot] = body;
+        timer_slots_[slot] = body;
       }
-      heap_.push(Entry{at, key, kTimer | slot});
+      timers_.push(Entry{at, key, slot});
     } else {
       std::visit([&](const auto& b) { push_keyed(at, key, b); }, body);
       return;
@@ -248,36 +259,40 @@ class EventQueue {
                         runs_.size() - free_runs_.size()};
     }
     const RunEntry& e = queued.cur[queued.next];
-    heap_.push(Entry{queued.run.head.sent + e.delay,
-                     queued.run.head.base + e.pos, slot});
+    messages_.push(Entry{queued.run.head.sent + e.delay,
+                         queued.run.head.base + e.pos, slot});
   }
 
   /// True when no events remain.
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] bool empty() const noexcept {
+    return messages_.empty() && timers_.empty();
+  }
 
   /// Number of pending events: every queued copy of every run counts.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Timestamp of the earliest pending event. Precondition: !empty().
-  [[nodiscard]] Time next_time() const { return heap_.top().at; }
+  [[nodiscard]] Time next_time() const {
+    return timer_first() ? timers_.top().at : messages_.top().at;
+  }
 
   /// Removes and returns the earliest pending event. Precondition: !empty().
   [[nodiscard]] Event pop() {
-    const Entry top = heap_.top();
     --size_;
-    if ((top.handle & kSingle) != 0) {
-      (void)heap_.pop();
-      const auto env = static_cast<std::uint32_t>(top.handle >> 32) & kEnvMax;
-      return Event{top.at, top.seq,
-                   MessageDelivery{env, static_cast<NodeId>(top.handle)}};
-    }
-    if ((top.handle & kTimer) != 0) {
-      (void)heap_.pop();
+    if (timer_first()) {
+      const Entry top = timers_.pop();
       const auto slot = static_cast<std::uint32_t>(top.handle);
-      const TimerFire fire = timers_[slot];
+      const TimerFire fire = timer_slots_[slot];
       free_timers_.push_back(slot);
       retire(fire.timer);
       return Event{top.at, top.seq, fire};
+    }
+    const Entry top = messages_.top();
+    if ((top.handle & kSingle) != 0) {
+      (void)messages_.pop();
+      const auto env = static_cast<std::uint32_t>(top.handle >> 32) & kEnvMax;
+      return Event{top.at, top.seq,
+                   MessageDelivery{env, static_cast<NodeId>(top.handle)}};
     }
     const auto slot = static_cast<std::uint32_t>(top.handle);
     QueuedRun& queued = runs_[slot];
@@ -286,7 +301,7 @@ class EventQueue {
              MessageDelivery{head.env,
                              dst_of(head.sender, queued.cur[queued.next].pos)}};
     if (--queued.run.size == 0) {
-      (void)heap_.pop();
+      (void)messages_.pop();
       release_run(slot);
       return ev;
     }
@@ -296,7 +311,7 @@ class EventQueue {
       queued.next = 0;
     }
     const RunEntry& next = queued.cur[queued.next];
-    heap_.replace_top(
+    messages_.replace_top(
         Entry{head.sent + next.delay, head.base + next.pos, top.handle});
     return ev;
   }
@@ -324,11 +339,13 @@ class EventQueue {
     return true;
   }
 
-  /// Sizes the heap for up to `expected_entries` runs and timers in flight
-  /// (a broadcast in flight is one entry however many copies it has).
-  void reserve(std::size_t expected_entries) {
-    heap_.reserve(expected_entries);
-    timer_state_.reserve(expected_entries);
+  /// Sizes the message heap for up to `messages` runs in flight (a
+  /// broadcast in flight is one entry however many copies it has) and the
+  /// timer heap for up to `timers` queued fires.
+  void reserve(std::size_t messages, std::size_t timers = 0) {
+    messages_.reserve(messages);
+    timers_.reserve(timers);
+    timer_state_.reserve(timers);
   }
 
   /// Total number of sequence numbers ever drawn by push(), draw_seq() and
@@ -343,6 +360,12 @@ class EventQueue {
   /// Number of cancelled fire events still queued.
   [[nodiscard]] std::size_t tombstone_count() const noexcept {
     return tombstones_;
+  }
+
+  /// Number of message-heap entries (test hook): queued runs and runs of
+  /// one, each one entry however many copies it holds.
+  [[nodiscard]] std::size_t message_heap_size() const noexcept {
+    return messages_.size();
   }
 
   /// Number of run slots ever created (test hook): the most runs queued at
@@ -371,11 +394,11 @@ class EventQueue {
     kPoppedCancelled = 3,   ///< fire event popped, awaiting consume_cancellation
   };
 
-  // Handle layout. A run of one sets kSingle and packs its envelope handle
-  // (31 bits: lane ids stay below EngineConfig::kMaxIntraJobs = 128) above
-  // its destination; otherwise kTimer tells a timer slot from a run slot.
+  // Message-heap handle layout. A run of one sets kSingle and packs its
+  // envelope handle (31 bits: lane ids stay below
+  // EngineConfig::kMaxIntraJobs = 128) above its destination; otherwise the
+  // handle is a run slot.
   static constexpr std::uint64_t kSingle = std::uint64_t{1} << 63;
-  static constexpr std::uint64_t kTimer = std::uint64_t{1} << 62;
   static constexpr std::uint32_t kEnvMax = 0x7fffffffu;
   /// Runs from this length on are radix-sorted (see sort_run): below it
   /// the comparison sort is cheaper per entry.
@@ -406,8 +429,8 @@ class EventQueue {
   }
 
   void push_single(const RunHead& head, const RunEntry& e) {
-    heap_.push(Entry{head.sent + e.delay, head.base + e.pos,
-                     single(head.env, dst_of(head.sender, e.pos))});
+    messages_.push(Entry{head.sent + e.delay, head.base + e.pos,
+                         single(head.env, dst_of(head.sender, e.pos))});
     ++size_;
   }
 
@@ -556,7 +579,15 @@ class EventQueue {
     }
   };
 
-  DaryHeap<Entry, 4, Earlier> heap_;
+  /// True when the timer heap's top pops before the message heap's.
+  /// Precondition: !empty().
+  [[nodiscard]] bool timer_first() const noexcept {
+    return !timers_.empty() &&
+           (messages_.empty() || Earlier{}(timers_.top(), messages_.top()));
+  }
+
+  DaryHeap<Entry, 4, Earlier> messages_;  ///< runs and runs of one
+  DaryHeap<Entry, 4, Earlier> timers_;    ///< timer fires, by timer slot
   std::size_t size_ = 0;  ///< queued copies and timers
   std::uint64_t next_seq_ = 0;
   std::vector<QueuedRun> runs_;            ///< run slots, recycled
@@ -572,7 +603,7 @@ class EventQueue {
   RunMemory peak_;
   std::vector<std::uint32_t> radix_counts_;  ///< sort_run's buffers, reused
   std::vector<RunEntry> radix_spare_;
-  std::vector<TimerFire> timers_;          ///< timer slots, recycled
+  std::vector<TimerFire> timer_slots_;     ///< recycled
   std::vector<std::uint32_t> free_timers_;
   std::vector<std::uint8_t> timer_state_;  ///< indexed by TimerId
   std::size_t pending_timers_ = 0;

@@ -192,9 +192,11 @@ Controller::Controller(SimConfig cfg)
   corrupt_flags_.assign(cfg_.n, 0);
 
   // Size the event queue for the steady-state backlog. A broadcast in
-  // flight is one heap entry however many copies it has, so the heap holds
-  // O(n) entries: a few broadcasts, self-deliveries and timers per node.
-  serial.queue.reserve(kQueueEntriesPerNode * cfg_.n + 256);
+  // flight is one message-heap entry however many copies it has, so each
+  // heap holds O(n) entries: a few broadcasts and self-deliveries per node
+  // in one, about one armed timer per node in the other.
+  serial.queue.reserve(kQueueEntriesPerNode * cfg_.n + 256,
+                       kTimersPerNode * cfg_.n + 64);
   if (cost_model_on_) serial.cpu_charged.reserve(256);
 
   attacker_ = make_attacker(cfg_);

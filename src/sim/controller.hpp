@@ -188,9 +188,11 @@ class Controller {
   static constexpr unsigned kOriginShift = 40;
 
   /// Event-queue entries reserved per node: a broadcast in flight is one
-  /// heap entry, so the backlog is a few broadcasts, self-deliveries and
-  /// timers per node.
-  static constexpr std::size_t kQueueEntriesPerNode = 4;
+  /// message-heap entry, so that heap's backlog is a few broadcasts and
+  /// self-deliveries per node, and the timer heap holds about one armed
+  /// timer per node.
+  static constexpr std::size_t kQueueEntriesPerNode = 3;
+  static constexpr std::size_t kTimersPerNode = 1;
 
   SimConfig cfg_;
   /// Run-scoped arena backing payload allocations. Declared before every

@@ -116,8 +116,9 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
     c_.lane_arenas_.push_back(std::make_unique<Arena>());
     lane->arena = c_.lane_arenas_.back().get();
     lane->metrics = &lane->delta;
-    lane->queue.reserve(Controller::kQueueEntriesPerNode * cfg.n / lanes_n_ +
-                        256);
+    lane->queue.reserve(
+        Controller::kQueueEntriesPerNode * cfg.n / lanes_n_ + 256,
+        Controller::kTimersPerNode * cfg.n / lanes_n_ + 64);
     lane->outbox.resize(lanes_n_);
     lane->broadcast_runs.resize(lanes_n_);
     c_.lanes_.push_back(std::move(lane));

@@ -225,6 +225,55 @@ TEST(EventQueueTest, RunOfOneTakesNoRunSlot) {
   EXPECT_EQ(queue.total_scheduled(), 0u);  // caller-chosen key: none drawn
 }
 
+// Timers queue in a heap of their own: a broadcast in flight among 1,000
+// armed timers is still one message-heap entry, and the two heaps merge
+// into (at, key) order, the timer first at the instants where both wait.
+TEST(EventQueueTest, ArmedTimersStayOutOfTheMessageHeap) {
+  EventQueue queue;
+  constexpr std::uint32_t kTimers = 1000;
+  constexpr std::uint32_t kCopies = 200;
+  for (TimerId id = 1; id <= kTimers; ++id) {
+    queue.push(static_cast<Time>(id), TimerFire{TimerOwner::kNode, 0, id, 0});
+  }
+  EXPECT_EQ(queue.message_heap_size(), 0u);
+  // Sender 0: position p reaches node p + 1 at 5p, a timer's instant.
+  const EventQueue::RunHead head{/*sent=*/0, queue.draw_seqs(kCopies),
+                                 /*env=*/1, /*sender=*/0};
+  std::vector<RunEntry> build;
+  for (std::uint32_t pos = 0; pos < kCopies; ++pos) {
+    build.push_back({5 * pos, pos});
+  }
+  queue.push_run(head, build);
+  EXPECT_EQ(queue.message_heap_size(), 1u);
+  EXPECT_EQ(queue.size(), kTimers + kCopies);
+  EXPECT_EQ(queue.pending_timer_count(), kTimers);
+
+  std::uint32_t fires = 0;
+  std::uint32_t deliveries = 0;
+  Time prev = -1;
+  std::uint64_t prev_key = 0;
+  while (!queue.empty()) {
+    const Time next = queue.next_time();
+    const Event ev = queue.pop();
+    EXPECT_EQ(ev.at, next);
+    EXPECT_TRUE(ev.at > prev || (ev.at == prev && ev.seq > prev_key));
+    prev = ev.at;
+    prev_key = ev.seq;
+    if (const auto* fire = std::get_if<TimerFire>(&ev.body)) {
+      EXPECT_EQ(fire->timer, ++fires);
+      EXPECT_EQ(ev.at, static_cast<Time>(fire->timer));
+    } else {
+      const auto& d = std::get<MessageDelivery>(ev.body);
+      EXPECT_EQ(d.dst, ++deliveries);
+      EXPECT_EQ(ev.at, static_cast<Time>(5 * (d.dst - 1)));
+    }
+    EXPECT_EQ(queue.message_heap_size(), deliveries < kCopies ? 1u : 0u);
+    EXPECT_EQ(queue.size(), (kTimers - fires) + (kCopies - deliveries));
+  }
+  EXPECT_EQ(fires, kTimers);
+  EXPECT_EQ(deliveries, kCopies);
+}
+
 // Long runs are radix-sorted on delay, which keeps append order (ascending
 // positions, so keys) at equal delays. Checked whatever the spread: one to
 // three digit passes, odd and even counts, up to the largest delay a run
@@ -441,6 +490,11 @@ struct Pending {
 // pending_timer_count() + tombstone_count() holds between every pop and
 // its dispatch. Run lengths cover chunk boundaries (1, 63, 64, 65) and
 // broadcast sizes (1023, 4095); senders sit first, last or anywhere.
+// Timers and deliveries queue in separate heaps, so the cases that cross
+// them are explicit: a timer and a delivery at one instant with either key
+// first, cancelled timers (whose tombstones pop in order and report the
+// cancel), and a fired timer re-pushed under its old key, as the
+// controller defers a crashed node's timer to its recovery.
 TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
   Rng rng{GetParam() ^ 0x7a11};
   EventQueue queue;
@@ -450,6 +504,9 @@ TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
   std::uint32_t next_env = 1;
   TimerId next_timer = 1;
   std::vector<TimerId> armed;
+  // Per timer id: queued, and cancelled while queued.
+  std::vector<std::uint8_t> timer_queued;
+  std::vector<std::uint8_t> timer_cancelled;
   std::vector<RunEntry> build;
   EventQueue::Run sealed;  // reused, as a lane's sealed runs are
   std::uint64_t sub_key = std::uint64_t{1} << 40;
@@ -480,6 +537,15 @@ TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
     ASSERT_TRUE(pending.emplace(std::pair{at, seq}, p).second);
     if (!p.timer) ++deliveries;
   };
+  const auto arm = [&](Time at, std::uint64_t seq, TimerId id) {
+    if (id >= timer_queued.size()) {
+      timer_queued.resize(id + 1, 0);
+      timer_cancelled.resize(id + 1, 0);
+    }
+    timer_queued[id] = 1;
+    armed.push_back(id);
+    add(at, seq, {true, 0, kNoNode, id});
+  };
   const auto pop_and_check = [&] {
     const Event ev = queue.pop();
     ASSERT_FALSE(pending.empty());
@@ -498,14 +564,24 @@ TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
     // Between the pop and its dispatch.
     ASSERT_EQ(queue.size(), deliveries + queue.pending_timer_count() +
                                 queue.tombstone_count());
-    if (const auto* fire = std::get_if<TimerFire>(&ev.body)) {
-      (void)queue.consume_cancellation(fire->timer);
-    }
     clock = ev.at;
+    if (const auto* fire = std::get_if<TimerFire>(&ev.body)) {
+      const TimerId id = fire->timer;
+      timer_queued[id] = 0;
+      ASSERT_EQ(queue.consume_cancellation(id), timer_cancelled[id] != 0);
+      if (timer_cancelled[id] != 0) {
+        timer_cancelled[id] = 0;
+      } else if (rng.next_below(4) == 0) {
+        // Deferred to a later instant under the key it popped with.
+        const Time at = later();
+        queue.push_keyed(at, ev.seq, *fire);
+        arm(at, ev.seq, id);
+      }
+    }
   };
 
   for (int round = 0; round < 1500; ++round) {
-    switch (rng.next_below(5)) {
+    switch (rng.next_below(6)) {
       case 0: {  // a broadcast fan-out
         const std::uint32_t env = next_env++;
         const std::uint32_t copies = copies_of_run();
@@ -553,12 +629,29 @@ TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
       case 2: {  // a timer
         const Time at = later();
         const TimerId id = next_timer++;
-        add(at, queue.push(at, TimerFire{TimerOwner::kNode, 0, id, 0}),
-            {true, 0, kNoNode, id});
-        armed.push_back(id);
+        arm(at, queue.push(at, TimerFire{TimerOwner::kNode, 0, id, 0}), id);
+        if (HasFatalFailure()) return;
         break;
       }
-      case 3: {  // a broadcast run sealed by another lane's queue
+      case 3: {  // a timer and a unicast at one instant, either key first
+        const Time at = later();
+        const std::uint64_t first = queue.draw_seq();
+        const std::uint64_t second = queue.draw_seq();
+        const bool timer_first = rng.next_below(2) == 0;
+        const TimerId id = next_timer++;
+        const std::uint32_t env = next_env++;
+        const auto dst = static_cast<NodeId>(rng.next_below(16));
+        const std::uint64_t timer_key = timer_first ? first : second;
+        const std::uint64_t delivery_key = timer_first ? second : first;
+        queue.push_keyed(at, delivery_key, MessageDelivery{env, dst});
+        add(at, delivery_key, {false, env, dst, 0});
+        queue.push_keyed(at, timer_key,
+                         TimerFire{TimerOwner::kNode, 0, id, 0});
+        arm(at, timer_key, id);
+        if (HasFatalFailure()) return;
+        break;
+      }
+      case 4: {  // a broadcast run sealed by another lane's queue
         const std::uint32_t env = next_env++;
         const std::uint32_t copies = copies_of_run();
         const NodeId sender = sender_of(copies);
@@ -587,7 +680,11 @@ TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
       default:  // cancel an armed timer, which may have fired already
         if (!armed.empty()) {
           const std::size_t i = rng.next_below(armed.size());
-          (void)queue.cancel_timer(armed[i]);
+          const TimerId id = armed[i];
+          const bool queued =
+              timer_queued[id] != 0 && timer_cancelled[id] == 0;
+          ASSERT_EQ(queue.cancel_timer(id), queued);
+          if (queued) timer_cancelled[id] = 1;
           armed.erase(armed.begin() + static_cast<std::ptrdiff_t>(i));
         }
         break;
