@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/thread_pool.hpp"
 #include "runner/export.hpp"
 #include "runner/runner.hpp"
@@ -21,9 +22,11 @@
 namespace bftsim::bench {
 
 /// Options every bench binary accepts:
-///   [repeats]      positional integer (default mirrors the paper's 100)
-///   --jobs N       worker threads for the parallel runner; 0 = one per
-///                  hardware core. Default: $BFTSIM_JOBS, else 1 (serial).
+///   [repeats]      positional integer >= 1 (default mirrors the paper's
+///                  100)
+///   --jobs N       worker threads for the parallel runner, 0 to 128; 0 =
+///                  one per hardware core. Default: $BFTSIM_JOBS, else 1
+///                  (serial).
 ///   --json PATH    export every measurement to PATH as JSON.
 struct BenchArgs {
   std::size_t repeats = 100;
@@ -43,32 +46,30 @@ inline void require_writable(const std::string& path) {
   std::fclose(f);
 }
 
+/// Parses the options above; a value that is not a whole decimal number
+/// in range is a usage error (exit 2) before any run starts.
 inline BenchArgs parse_args(int argc, char** argv,
                             std::size_t default_repeats = 100) {
   BenchArgs args;
   args.repeats = default_repeats;
   if (const char* env = std::getenv("BFTSIM_JOBS")) {
-    const long value = std::strtol(env, nullptr, 10);
-    if (value >= 0) args.jobs = static_cast<std::size_t>(value);
+    args.jobs = cli::arg<std::uint64_t>(argv[0], "$BFTSIM_JOBS",
+                                        env, 0, cli::kMaxJobs);
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      args.jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      args.jobs = cli::arg<std::uint64_t>(argv[0], "--jobs",
+                                          argv[++i], 0, cli::kMaxJobs);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       args.json_path = argv[++i];
     } else {
-      const long value = std::strtol(argv[i], nullptr, 10);
-      if (value > 0) args.repeats = static_cast<std::size_t>(value);
+      // Repeats, or fig9's seed: at least 1, and exact as a JSON number.
+      args.repeats = cli::arg<std::uint64_t>(argv[0], "repeats",
+                                             argv[i], 1, cli::kMaxSeed);
     }
   }
   require_writable(args.json_path);
   return args;
-}
-
-/// Backwards-compatible repeats-only parsing (ignores the flags).
-inline std::size_t repeats_from_args(int argc, char** argv,
-                                     std::size_t fallback = 100) {
-  return parse_args(argc, argv, fallback).repeats;
 }
 
 inline void print_title(const std::string& title, const std::string& setup) {

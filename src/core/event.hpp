@@ -24,9 +24,8 @@ enum class TimerOwner : std::uint8_t { kNode, kAttacker, kSystem, kFault };
 /// Message and is delivered to `dst`. The 8-byte handle replaces the full
 /// Message the event used to carry — the payload, source, send time and id
 /// live once per transmission in the controller's EnvelopeStore (a
-/// broadcast's n-1 deliveries share one envelope; see net/envelope.hpp).
-/// The handle packs the owning lane above the store index (see
-/// Controller::make_env and Lane::kEnvShift in sim/lane.hpp).
+/// broadcast's deliveries on one lane share one envelope; see
+/// net/envelope.hpp). The store is the one of the lane that delivers it.
 struct MessageDelivery {
   std::uint32_t env = 0;
   NodeId dst = kNoNode;

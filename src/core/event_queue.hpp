@@ -39,20 +39,21 @@ struct RunEntry {
 /// walks past timer entries.
 ///
 /// Runs. A broadcast's fast-path copies share one envelope and take one key
-/// per fan-out position, drawn (lane engine) or reserved (serial engine,
-/// draw_seqs()) up front: a dropped copy leaves its key unused, a corrupted
-/// one is pushed alone under its position's key. So a copy is 8 bytes, its
-/// delay and position (RunEntry); the run records the envelope, base key,
-/// send time and sender once (RunHead). A copy whose delay does not fit 32
-/// bits (over 71 minutes of µs) is pushed alone instead. The sender appends
-/// a run's copies in position order to a build buffer and queues it when
-/// the fan-out ends (push_run()); the queue sorts it by (at, key) and
-/// copies it into chunks of 64 entries from its free list, behind one
-/// message-heap entry, a cursor keyed by the run's head. pop() takes the
-/// head and advances the cursor in place (DaryHeap::replace_top). The
-/// message heap thus holds one entry per broadcast in flight instead of one
-/// per copy, while the pop order stays exactly the (at, key) order of every
-/// queued copy: a merge of sorted runs by unique keys is the sorted order.
+/// per fan-out position, reserved up front as one block (the sender's
+/// counter on the lane engine, draw_seqs() on the serial engine): a
+/// dropped copy leaves its key unused, a corrupted one is pushed alone
+/// under its position's key. So a copy is 8 bytes, its delay and position
+/// (RunEntry); the run records the envelope, base key, send time and
+/// sender once (RunHead). A copy whose delay does not fit 32 bits (over 71
+/// minutes of µs) is pushed alone instead. The lane that delivers the
+/// copies appends them in position order to a build buffer and queues them
+/// as one run (push_run()); the queue sorts it by (at, key) and copies it
+/// into chunks of 64 entries from its free list, behind one message-heap
+/// entry, a cursor keyed by the run's head. pop() takes the head and
+/// advances the cursor in place (DaryHeap::replace_top). The message heap
+/// thus holds one entry per broadcast in flight instead of one per copy,
+/// while the pop order stays exactly the (at, key) order of every queued
+/// copy: a merge of sorted runs by unique keys is the sorted order.
 /// A run's first chunk is filled at its end and pop() frees each chunk as
 /// its last entry pops, so a run holds ceil(queued copies / 64) chunks: run
 /// memory follows the copies still in flight, not the broadcasts' sizes.
@@ -62,11 +63,9 @@ struct RunEntry {
 /// need no chunk, because the envelope and destination fit in the heap
 /// entry's handle.
 ///
-/// Lanes. The lane engine seals a run bound for another lane on the
-/// sending lane (seal(): sorted, in the sender's chunks; a sealed run of
-/// one borrows a chunk too); the barrier queues it on its lane with
-/// adopt(), which takes the chunks and hands the sender as many free ones,
-/// so each queue's pool stays the same size.
+/// Lanes. On the lane engine a broadcast is one run per destination lane,
+/// which that lane draws and queues itself (sim/lane.hpp): runs and chunks
+/// never leave the queue that made them.
 ///
 /// Heap entries are 24 bytes: (at, key, handle). A message-heap handle
 /// names a run slot or a run of one; a timer-heap handle is a timer slot. A
@@ -113,14 +112,6 @@ class EventQueue {
   /// Fixed run storage, recycled through a queue's free list.
   struct Chunk {
     RunEntry entries[kChunkEntries];
-  };
-
-  /// A run sealed for another queue (seal(), then adopt()): its copies,
-  /// sorted, in chunks whose first is filled at its end.
-  struct Run {
-    RunHead head;
-    std::uint32_t size = 0;  ///< copies still queued
-    std::vector<Chunk*> chunks;
   };
 
   /// Run storage at the moment queued runs held the most chunks: those
@@ -193,74 +184,41 @@ class EventQueue {
 
   /// Queues the copies in `build` (appended in position order, each one
   /// fits_run()) behind one heap entry, a run of one as a plain delivery.
-  /// Leaves `build` empty. Uses this queue's sort buffers, so only the
-  /// queue's owner calls it.
+  /// Leaves `build` empty.
   void push_run(const RunHead& head, std::vector<RunEntry>& build) {
-    if (build.size() == 1) {
-      push_single(head, build.front());
+    if (build.size() <= 1) {
+      if (!build.empty()) push_single(head, build.front());
       build.clear();
       return;
     }
-    seal(head, build, own_);
-    adopt(own_, *this);
-  }
-
-  /// Seals the copies in `build` (as for push_run()) into `out`, sorted, in
-  /// chunks of this queue's, for another queue's adopt(). Leaves `build`
-  /// empty; `out` must be empty. Only the queue's owner calls it.
-  void seal(const RunHead& head, std::vector<RunEntry>& build, Run& out) {
-    assert(out.size == 0 && out.chunks.empty());
-    if (build.empty()) return;
     sort_run(build);
-    out.head = head;
-    out.size = static_cast<std::uint32_t>(build.size());
-    // The first chunk is filled at its end: a run with `left` copies still
-    // queued then holds ceil(left / 64) chunks.
-    std::size_t skip =
-        (kChunkEntries - out.size % kChunkEntries) % kChunkEntries;
-    const RunEntry* const end = build.data() + out.size;
-    for (const RunEntry* from = build.data(); from != end; skip = 0) {
-      out.chunks.push_back(take_chunk());
-      RunEntry* const to = out.chunks.back()->entries;
-      std::copy_n(from, kChunkEntries - skip, to + skip);
-      from += kChunkEntries - skip;
-    }
-    build.clear();
-  }
-
-  /// Queues a run that `owner` sealed, taking its chunks and handing
-  /// `owner` as many free ones. Leaves `run` empty.
-  void adopt(Run& run, EventQueue& owner) {
-    if (run.size == 0) return;
-    const std::size_t count = run.chunks.size();
-    if (run.size == 1) {
-      push_single(run.head, run.chunks.front()->entries[kChunkEntries - 1]);
-      owner.free_chunks_.push_back(run.chunks.front());
-      run.chunks.clear();
-      run.size = 0;
-      return;
-    }
-    if (&owner != this) {
-      for (std::size_t i = 0; i < count; ++i) {
-        owner.free_chunks_.push_back(take_chunk());
-      }
-    }
     const std::uint32_t slot = take_slot();
     QueuedRun& queued = runs_[slot];
-    std::swap(queued.run, run);  // `run` takes the slot's drained, empty one
-    queued.cur = queued.run.chunks.front()->entries;
-    queued.next =
-        static_cast<std::uint32_t>(count * kChunkEntries - queued.run.size);
+    queued.head = head;
+    queued.size = static_cast<std::uint32_t>(build.size());
+    // The first chunk is filled at its end: a run with `left` copies still
+    // queued then holds ceil(left / 64) chunks.
+    const std::size_t skip =
+        (kChunkEntries - queued.size % kChunkEntries) % kChunkEntries;
+    const RunEntry* const end = build.data() + queued.size;
+    for (const RunEntry* from = build.data(); from != end;) {
+      const std::size_t at = queued.chunks.empty() ? skip : 0;
+      queued.chunks.push_back(take_chunk());
+      std::copy_n(from, kChunkEntries - at, queued.chunks.back()->entries + at);
+      from += kChunkEntries - at;
+    }
+    build.clear();
+    queued.cur = queued.chunks.front()->entries;
+    queued.next = static_cast<std::uint32_t>(skip);
     queued.chunk = 0;
-    size_ += queued.run.size;
-    held_chunks_ += count;
+    size_ += queued.size;
+    held_chunks_ += queued.chunks.size();
     if (held_chunks_ * sizeof(Chunk) > peak_.bytes) {
       peak_ = RunMemory{held_chunks_ * sizeof(Chunk), size_,
                         runs_.size() - free_runs_.size()};
     }
     const RunEntry& e = queued.cur[queued.next];
-    messages_.push(Entry{queued.run.head.sent + e.delay,
-                         queued.run.head.base + e.pos, slot});
+    messages_.push(Entry{head.sent + e.delay, head.base + e.pos, slot});
   }
 
   /// True when no events remain.
@@ -296,18 +254,18 @@ class EventQueue {
     }
     const auto slot = static_cast<std::uint32_t>(top.handle);
     QueuedRun& queued = runs_[slot];
-    const RunHead& head = queued.run.head;
+    const RunHead& head = queued.head;
     Event ev{top.at, top.seq,
              MessageDelivery{head.env,
                              dst_of(head.sender, queued.cur[queued.next].pos)}};
-    if (--queued.run.size == 0) {
+    if (--queued.size == 0) {
       (void)messages_.pop();
       release_run(slot);
       return ev;
     }
     if (++queued.next == kChunkEntries) {
-      free_chunk(queued.run.chunks[queued.chunk]);
-      queued.cur = queued.run.chunks[++queued.chunk]->entries;
+      free_chunk(queued.chunks[queued.chunk]);
+      queued.cur = queued.chunks[++queued.chunk]->entries;
       queued.next = 0;
     }
     const RunEntry& next = queued.cur[queued.next];
@@ -377,8 +335,7 @@ class EventQueue {
     return free_chunks_.size();
   }
 
-  /// Number of chunks this queue allocated (test hook). Since adopt()
-  /// hands back as many chunks as it takes, these are the chunks it owns.
+  /// Number of chunks this queue allocated (test hook).
   [[nodiscard]] std::size_t pool_chunks() const noexcept {
     return pool_chunks_;
   }
@@ -395,9 +352,8 @@ class EventQueue {
   };
 
   // Message-heap handle layout. A run of one sets kSingle and packs its
-  // envelope handle (31 bits: lane ids stay below
-  // EngineConfig::kMaxIntraJobs = 128) above its destination; otherwise the
-  // handle is a run slot.
+  // envelope handle (a store index, below 1 << 24) above its destination;
+  // otherwise the handle is a run slot.
   static constexpr std::uint64_t kSingle = std::uint64_t{1} << 63;
   static constexpr std::uint32_t kEnvMax = 0x7fffffffu;
   /// Runs from this length on are radix-sorted (see sort_run): below it
@@ -408,11 +364,14 @@ class EventQueue {
   static constexpr std::size_t kMinSlab = 64;
   static constexpr std::size_t kMaxSlab = 4096;
 
-  /// A queued run of two or more copies and its cursor: `cur` is
-  /// run.chunks[chunk]'s entries and `next` the head copy's index there;
-  /// the chunks before `chunk` are already freed.
+  /// A queued run of two or more copies, sorted, in chunks whose first is
+  /// filled at its end, and its cursor: `cur` is chunks[chunk]'s entries
+  /// and `next` the head copy's index there; the chunks before `chunk` are
+  /// already freed.
   struct QueuedRun {
-    Run run;
+    RunHead head;
+    std::uint32_t size = 0;  ///< copies still queued
+    std::vector<Chunk*> chunks;
     const RunEntry* cur = nullptr;
     std::uint32_t next = 0;
     std::uint32_t chunk = 0;
@@ -438,7 +397,7 @@ class EventQueue {
   /// pool so far (64 to 4096 chunks): chunks never come from the general
   /// heap one by one, where they would land between, and spread out, the
   /// per-node state that protocols allocate as a run goes on. A slab is
-  /// raw storage (seal() writes every entry it reads), so its pages are
+  /// raw storage (push_run() writes every entry it reads), so its pages are
   /// touched only as its chunks are first used.
   Chunk* take_chunk() {
     if (free_chunks_.empty()) {
@@ -529,8 +488,8 @@ class EventQueue {
   /// list; the slot's chunk list keeps its capacity for the next run.
   void release_run(std::uint32_t slot) {
     QueuedRun& queued = runs_[slot];
-    free_chunk(queued.run.chunks[queued.chunk]);
-    queued.run.chunks.clear();
+    free_chunk(queued.chunks[queued.chunk]);
+    queued.chunks.clear();
     free_runs_.push_back(slot);
   }
 
@@ -592,13 +551,10 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::vector<QueuedRun> runs_;            ///< run slots, recycled
   std::vector<std::uint32_t> free_runs_;
-  /// Chunk memory this queue allocated. adopt() trades chunks between the
-  /// queues of one controller, so a queue's slabs may hold another's runs:
-  /// queues that trade runs are destroyed together.
+  /// Chunk memory this queue allocated; only its own runs use it.
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
   std::vector<Chunk*> free_chunks_;
   std::size_t pool_chunks_ = 0;  ///< chunks in slabs_
-  Run own_;  ///< push_run()'s sealed run, adopted at once
   std::size_t held_chunks_ = 0;  ///< chunks of queued runs
   RunMemory peak_;
   std::vector<std::uint32_t> radix_counts_;  ///< sort_run's buffers, reused

@@ -32,7 +32,7 @@ struct ViewRecord {
 /// Mutable metrics sink owned by the controller.
 class Metrics {
  public:
-  void on_send() noexcept { ++messages_sent_; }
+  void on_send(std::uint64_t copies = 1) noexcept { messages_sent_ += copies; }
   void on_bytes(std::uint64_t bytes) noexcept { bytes_sent_ += bytes; }
   void on_deliver() noexcept { ++messages_delivered_; }
   void on_drop() noexcept { ++messages_dropped_; }
@@ -57,17 +57,19 @@ class Metrics {
 
   /// Per-kind message counting, hot path: one flat-array increment. The
   /// branch only fires for user-defined tags above the builtin range.
-  void count_type(PayloadType t) {
+  void count_type(PayloadType t, std::uint64_t copies = 1) {
     const std::size_t index = to_index(t);
     if (index >= typed_counts_.size()) [[unlikely]] {
       typed_counts_.resize(index + 1, 0);
     }
-    ++typed_counts_[index];
+    typed_counts_[index] += copies;
   }
 
   /// Fallback for untagged payloads (PayloadType::kUnknown): counts under
   /// the payload's type() string. Allocates; not on the builtin hot path.
-  void count_type(const std::string& type) { ++untyped_counts_[type]; }
+  void count_type(const std::string& type, std::uint64_t copies = 1) {
+    untyped_counts_[type] += copies;
+  }
 
   void on_decision(Decision d) { decisions_.push_back(d); }
   void on_view(ViewRecord v) { views_.push_back(v); }

@@ -85,6 +85,15 @@ class Rng {
   /// Exponentially distributed double with the given mean (= 1/rate).
   [[nodiscard]] double exponential(double mean) noexcept;
 
+  /// A stream that is a pure function of (seed, key): counter-based draws
+  /// (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11)
+  /// that do not depend on who draws them or in which order.
+  [[nodiscard]] static Rng keyed(std::uint64_t seed,
+                                 std::uint64_t key) noexcept {
+    std::uint64_t sm = seed ^ key;
+    return Rng{splitmix64(sm)};
+  }
+
   /// Derives an independent child stream; deterministic in (this stream's
   /// current state, `salt`).
   [[nodiscard]] Rng fork(std::uint64_t salt) noexcept {

@@ -50,15 +50,9 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
   if (first_error_ != nullptr) {
     std::exception_ptr error = std::exchange(first_error_, nullptr);
-    // The first exception is rethrown unchanged; record how many later
-    // failures are being discarded with it so callers can report them
-    // instead of silently losing the information.
-    last_suppressed_ = std::exchange(suppressed_errors_, 0);
     lock.unlock();
     std::rethrow_exception(error);
   }
-  last_suppressed_ = 0;
-  suppressed_errors_ = 0;
 }
 
 void ThreadPool::worker_loop() {
@@ -95,12 +89,8 @@ void ThreadPool::worker_loop() {
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (error != nullptr) {
-        if (first_error_ == nullptr) {
-          first_error_ = std::move(error);
-        } else {
-          ++suppressed_errors_;
-        }
+      if (error != nullptr && first_error_ == nullptr) {
+        first_error_ = std::move(error);
       }
       --in_flight_;
       if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();

@@ -47,17 +47,8 @@ class ThreadPool {
 
   /// Blocks until every task submitted so far has finished (the queue is
   /// empty and no worker is mid-task). If any task threw since the last
-  /// call, rethrows the first captured exception; how many further task
-  /// exceptions were discarded alongside it is reported by
-  /// last_suppressed_failures() until the next wait_idle() call.
+  /// call, rethrows the first captured exception; later ones are dropped.
   void wait_idle();
-
-  /// Number of task exceptions discarded by the most recent wait_idle()
-  /// that rethrew (every captured failure beyond the first). Zero when the
-  /// last wait_idle() returned cleanly.
-  [[nodiscard]] std::size_t last_suppressed_failures() const noexcept {
-    return last_suppressed_;
-  }
 
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return workers_.size();
@@ -89,8 +80,6 @@ class ThreadPool {
   std::atomic<std::size_t> ready_{0};
   std::atomic<bool> stop_flag_{false};
   std::exception_ptr first_error_;  ///< first escaped task exception
-  std::size_t suppressed_errors_ = 0;  ///< escaped exceptions after the first
-  std::size_t last_suppressed_ = 0;    ///< suppressed count of last rethrow
 };
 
 /// Runs `fn(i)` for every i in [0, count) on `pool` and blocks until all

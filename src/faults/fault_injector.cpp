@@ -13,6 +13,7 @@ namespace {
 constexpr std::uint64_t kPlanSalt = 1;
 constexpr std::uint64_t kCorruptSalt = 2;
 constexpr std::uint64_t kClockSalt = 3;
+constexpr std::uint64_t kKeyedCorruptSalt = 4;
 
 }  // namespace
 
@@ -41,6 +42,8 @@ FaultInjector::FaultInjector(const FaultConfig& cfg, std::uint32_t n,
           1.0 + clock_rng.uniform(-cfg.clock.max_drift, cfg.clock.max_drift));
     }
   }
+  // Forked last, so the streams above match runs recorded before it.
+  corrupt_seed_ = fault_rng.fork(kKeyedCorruptSalt).next_u64();
 }
 
 void FaultInjector::apply(std::size_t index) {
@@ -64,28 +67,12 @@ void FaultInjector::apply(std::size_t index) {
   }
 }
 
-bool FaultInjector::maybe_corrupt(Time now) {
+bool FaultInjector::maybe_corrupt(Time now, std::uint64_t id, bool keyed) {
   if (!corruption_.enabled()) return false;
   if (now < corrupt_start_) return false;
   if (corrupt_end_ != kNoTime && now >= corrupt_end_) return false;
-  return corrupt_rng_.next_double() < corruption_.rate;
-}
-
-void FaultInjector::fork_corruption_streams(std::uint32_t n) {
-  if (!corruption_.enabled()) return;
-  corrupt_streams_.clear();
-  corrupt_streams_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    corrupt_streams_.push_back(corrupt_rng_.fork(i));
-  }
-}
-
-bool FaultInjector::maybe_corrupt_from(Time now, NodeId src) {
-  if (!corruption_.enabled()) return false;
-  if (now < corrupt_start_) return false;
-  if (corrupt_end_ != kNoTime && now >= corrupt_end_) return false;
-  assert(src < corrupt_streams_.size());
-  return corrupt_streams_[src].next_double() < corruption_.rate;
+  return (keyed ? Rng::keyed(corrupt_seed_, id).next_double()
+                : corrupt_rng_.next_double()) < corruption_.rate;
 }
 
 Time FaultInjector::adjust_timer_delay(NodeId node, Time delay) const noexcept {

@@ -11,7 +11,9 @@
 // All randomness — the plan expansion, the per-send corruption coin and the
 // per-node clock parameters — comes from sub-streams forked off one fault
 // RNG that the controller forks off the run seed, so the whole fault
-// behavior of a run is a deterministic function of (config, seed).
+// behavior of a run is a deterministic function of (config, seed). The
+// serial engine flips corruption coins from one shared stream in send
+// order; the lane engine keys each coin by the copy's message id.
 #pragma once
 
 #include <cstdint>
@@ -92,23 +94,12 @@ class FaultInjector {
     return links_.is_down(src, dst);
   }
 
-  /// Flips the per-send corruption coin. Consumes RNG state only inside the
-  /// corruption window, so runs that never reach the window stay identical
-  /// to corruption-free ones.
-  [[nodiscard]] bool maybe_corrupt(Time now);
-
-  /// Splits the corruption stream into one sub-stream per sending node
-  /// (windowed-parallel execution: the shared stream's draw order would
-  /// depend on lane interleaving). Call once, before the run starts; a
-  /// no-op when corruption is disabled. Stream i is corrupt_rng_.fork(i),
-  /// forked in node order, so the layout depends only on the seed.
-  void fork_corruption_streams(std::uint32_t n);
-
-  /// Per-sender flavor of maybe_corrupt for windowed-parallel runs; draws
-  /// from `src`'s sub-stream (requires fork_corruption_streams first).
-  /// Thread-safe across lanes because each lane only sends for its own
-  /// nodes and therefore only touches its own sub-streams.
-  [[nodiscard]] bool maybe_corrupt_from(Time now, NodeId src);
+  /// Flips the corruption coin of the copy with message id `id` sent at
+  /// `now`: the next draw of the shared stream, or with `keyed` (the lane
+  /// engine) a pure function of (seed, id) that any lane may flip at any
+  /// time. The stream is drawn only inside the corruption window, so runs
+  /// that never reach the window stay identical to corruption-free ones.
+  [[nodiscard]] bool maybe_corrupt(Time now, std::uint64_t id, bool keyed);
 
   /// Applies node-local clock skew/drift to a timer delay. Identity when
   /// the clock section is disabled.
@@ -124,7 +115,7 @@ class FaultInjector {
   Time corrupt_start_ = 0;
   Time corrupt_end_ = kNoTime;  ///< kNoTime = open-ended
   Rng corrupt_rng_;
-  std::vector<Rng> corrupt_streams_;  ///< per sender; windowed runs only
+  std::uint64_t corrupt_seed_ = 0;  ///< the keyed coins' seed
 
   bool clock_enabled_ = false;
   std::vector<Time> clock_skew_;      ///< per-node additive skew (µs)

@@ -14,18 +14,15 @@
 // Lifetime is reference-counted by scheduled deliveries: `remaining` is the
 // number of delivery events still pointing at the envelope; the release
 // that drops it to zero clears the payload and makes the slot recyclable.
-// The count is atomic because the windowed-parallel driver (sim/windowed)
-// retires envelopes from destination lanes while the owning lane keeps
-// creating new ones; the serial engine pays one uncontended relaxed
-// decrement per delivery.
+// Each lane of the windowed-parallel driver has its own store, and only
+// that lane creates, reads and releases its envelopes (a copy for another
+// lane crosses the barrier as a message or a fan-out and is interned
+// there), so the count is a plain integer.
 //
 // The store is chunked and pointer-stable: the chunk table is reserved up
-// front and never reallocates, so concurrent readers of already-published
-// envelopes never race a growing owner (publication happens-before is
-// provided by the windowed driver's barrier; see docs/PARALLELISM.md).
+// front and never reallocates.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -52,10 +49,9 @@ struct Envelope {
   bool broadcast = false;
   /// Nonzero marks a gossip transmission (WAN backend): the id of the
   /// disseminated broadcast, used for duplicate suppression and relaying.
-  /// Serial engine only, so no atomicity concerns.
   std::uint64_t gossip_id = 0;
   /// Scheduled deliveries still referencing this envelope.
-  std::atomic<std::int32_t> remaining{0};
+  std::int32_t remaining = 0;
 
   [[nodiscard]] std::uint64_t message_id(NodeId dst) const noexcept {
     return broadcast ? base_id + (dst < src ? dst : dst - 1u) : base_id;
@@ -105,9 +101,14 @@ class EnvelopeStore {
     e.src = src;
     e.broadcast = broadcast;
     e.gossip_id = 0;
-    e.remaining.store(remaining, std::memory_order_relaxed);
-    live_.fetch_add(1, std::memory_order_relaxed);
+    e.remaining = remaining;
     return index;
+  }
+
+  /// Allocates a single-delivery envelope for `msg`.
+  [[nodiscard]] std::uint32_t intern(Message msg) {
+    return create(std::move(msg.payload), msg.send_time, msg.id, msg.src,
+                  false, 1);
   }
 
   [[nodiscard]] Envelope& get(std::uint32_t index) noexcept {
@@ -115,14 +116,6 @@ class EnvelopeStore {
   }
   [[nodiscard]] const Envelope& get(std::uint32_t index) const noexcept {
     return const_cast<EnvelopeStore*>(this)->slot(index);
-  }
-
-  /// Registers `k` additional scheduled deliveries. Owner-thread only, and
-  /// only before the corresponding events are published to other lanes.
-  void add_pending(std::uint32_t index, std::int32_t k) noexcept {
-    Envelope& e = slot(index);
-    e.remaining.store(e.remaining.load(std::memory_order_relaxed) + k,
-                      std::memory_order_relaxed);
   }
 
   /// Rebuilds the Message a delivery event stands for.
@@ -137,28 +130,14 @@ class EnvelopeStore {
     return msg;
   }
 
-  /// Drops one delivery reference; recycles the slot when it was the last.
-  /// Single-threaded (serial engine / owning lane) flavor.
+  /// Drops one delivery reference; on the last, clears the payload and
+  /// recycles the slot.
   void release(std::uint32_t index) {
-    if (drop_ref(index)) recycle(index);
+    Envelope& e = slot(index);
+    if (--e.remaining != 0) return;
+    e.payload.reset();
+    free_.push_back(index);
   }
-
-  /// Drops one delivery reference from a non-owning thread. On the last
-  /// reference the payload is cleared and true is returned — the caller
-  /// must hand `index` back to the owner (recycle()) at a barrier.
-  [[nodiscard]] bool release_remote(std::uint32_t index) {
-    return drop_ref(index);
-  }
-
-  /// Returns a fully-released slot to the free list. Owner-thread only.
-  void recycle(std::uint32_t index) { free_.push_back(index); }
-
-  /// Envelopes currently allocated (live), a scaling/test hook.
-  [[nodiscard]] std::size_t live() const noexcept {
-    return live_.load(std::memory_order_relaxed);
-  }
-  /// Slots ever allocated (high-water mark of the slab).
-  [[nodiscard]] std::size_t capacity_used() const noexcept { return next_; }
 
  private:
   [[nodiscard]] Envelope& slot(std::uint32_t index) noexcept {
@@ -166,21 +145,9 @@ class EnvelopeStore {
     return chunks_[index >> kChunkShift][index & kChunkMask];
   }
 
-  /// Decrements `remaining`; on zero clears the payload and returns true.
-  [[nodiscard]] bool drop_ref(std::uint32_t index) {
-    Envelope& e = slot(index);
-    if (e.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return false;
-    e.payload.reset();
-    live_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-
   std::vector<std::unique_ptr<Envelope[]>> chunks_;
   std::vector<std::uint32_t> free_;
   std::uint32_t next_ = 0;
-  /// Atomic because remote lanes decrement via release_remote(); everything
-  /// else about the store is owner-thread-only.
-  std::atomic<std::size_t> live_{0};
 };
 
 }  // namespace bftsim

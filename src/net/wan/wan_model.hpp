@@ -5,7 +5,7 @@
 //   - propagation: base_delay(src, dst) = half the configured RTT between
 //     the nodes' regions, a pure function of the node pair — it consumes no
 //     randomness, which is what keeps matrix-only runs valid under the
-//     windowed-parallel engine's per-node RNG streams;
+//     windowed-parallel engine's keyed draws;
 //   - bandwidth: delivery_time() charges message-size serialization on the
 //     sender's uplink and the receiver's downlink, each modeled as a FIFO
 //     next-free-time scalar, so back-to-back sends queue behind each other

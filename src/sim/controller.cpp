@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 
 #include "attacker/attacks.hpp"
@@ -169,7 +170,6 @@ Controller::Controller(SimConfig cfg)
   Lane& serial = *lanes_.front();
   serial.arena = &arena_;
   serial.metrics = &metrics_;
-  serial.broadcast_runs.resize(1);
 
   nodes_.resize(cfg_.n);
   ctxs_.reserve(cfg_.n);
@@ -256,11 +256,9 @@ Controller::~Controller() = default;
 // ---------------------------------------------------------------------------
 
 /// One transmission's payload-level facts, computed once and shared by all
-/// of its copies: the virtual wire_size()/type_id() calls, the trace
-/// fields, the ids and the lazily created shared broadcast envelope.
+/// of its copies: the virtual wire_size()/type_id() calls and the trace
+/// fields.
 struct Controller::Transmission {
-  static constexpr std::uint32_t kNoEnvelope = 0xffffffffu;
-
   Transmission(const PayloadPtr& p, NodeId source, Time extra_delay,
                bool traced)
       : payload(p),
@@ -274,6 +272,17 @@ struct Controller::Transmission {
     }
   }
 
+  /// Counts `copies` copies as sent.
+  void count(Metrics& metrics, std::uint64_t copies) const {
+    metrics.on_send(copies);
+    metrics.on_bytes(wire * copies);
+    if (tid != PayloadType::kUnknown) {
+      metrics.count_type(tid, copies);
+    } else {
+      metrics.count_type(std::string(payload->type()), copies);
+    }
+  }
+
   const PayloadPtr& payload;
   NodeId src;  ///< protocol-visible source (a gossip copy's origin)
   /// Sender-side cost (e.g. signing) already incurred before the message
@@ -283,18 +292,19 @@ struct Controller::Transmission {
   PayloadType tid;
   std::string trace_type;
   std::uint64_t trace_digest = 0;
-  /// Broadcast fan-out: copies share one envelope whose base_id is the id
-  /// the first destination in the loop gets (dropped or not), so
-  /// per-destination ids derive by position exactly as they were drawn.
-  /// Likewise a copy's ordering key is base_key plus its position: the
-  /// lane engine's keys are its ids, the serial engine reserves n - 1
-  /// sequence numbers up front.
-  bool fan_out = false;
-  std::uint64_t base_id = 0;
-  std::uint64_t base_key = 0;
-  std::uint32_t shared_env = kNoEnvelope;
   std::uint64_t gossip_id = 0;  ///< nonzero for gossip copies
 };
+
+namespace {
+
+/// Wraps `original` as a corrupted payload in `ln`'s arena, and counts it.
+PayloadPtr corrupt_copy(Lane& ln, PayloadPtr original) {
+  ln.metrics->on_corrupt();
+  return std::allocate_shared<CorruptedPayload>(
+      ArenaAllocator<CorruptedPayload>(ln.arena), std::move(original));
+}
+
+}  // namespace
 
 void Controller::send(Lane& ln, NodeId src, NodeId dst, PayloadPtr payload) {
   assert(payload != nullptr);
@@ -319,62 +329,107 @@ void Controller::broadcast(Lane& ln, NodeId src, PayloadPtr payload,
     tx.gossip_id = next_gossip_id_++;
     gossip_seen_[src].insert(tx.gossip_id);  // never re-deliver to the origin
     for (const NodeId peer : wan_->peers_of(src)) send_copy(ln, tx, src, peer);
-  } else {
-    tx.fan_out = true;
-    tx.base_id = next_id(src);
-    tx.base_key = lane_mode_ ? tx.base_id : ln.queue.draw_seqs(cfg_.n - 1);
+  } else if (!attacker_passive_ || custom_delivery_hook_) {
     for (NodeId dst = 0; dst < cfg_.n; ++dst) {
       if (dst != src) send_copy(ln, tx, src, dst);
     }
-    // Close the fan-out's runs: the one for this lane joins its queue, the
-    // others are sealed for the barrier (WindowedEngine::merge_window).
-    const EventQueue::RunHead head{ln.now, tx.base_key, tx.shared_env, src};
-    for (std::uint32_t to = 0; to < ln.broadcast_runs.size(); ++to) {
-      Lane::BroadcastRuns& out = ln.broadcast_runs[to];
-      if (out.build.empty()) continue;
-      if (to == ln.id) {
-        ln.queue.push_run(head, out.build);
-      } else {
-        if (out.ready == out.runs.size()) out.runs.emplace_back();
-        ln.queue.seal(head, out.build, out.runs[out.ready++]);
-      }
-    }
+  } else {
+    fan_out(ln, tx);
   }
   if (include_self) deliver_self(ln, src, std::move(payload));
 }
 
-void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
+void Controller::fan_out(Lane& ln, const Transmission& tx) {
+  // Position p is destination p, or p + 1 from the sender on; its id and
+  // key are the block's base plus p.
+  const NodeId src = tx.src;
+  const std::uint32_t copies = cfg_.n - 1;
+  const std::uint64_t base_id =
+      lane_mode_ ? origin_key(src) | key_ctr_[src] : next_msg_id_;
+  const std::uint64_t base_key =
+      lane_mode_ ? base_id : ln.queue.draw_seqs(copies);
+  (lane_mode_ ? key_ctr_[src] : next_msg_id_) += copies;
+  FanOut fo{tx.payload, base_id, {ln.now, base_key, 0, src}, tx.extra, {}};
+  tx.count(*ln.metrics, copies);
+  const bool links_down = faults_ != nullptr && faults_->any_link_down();
+  if (trace_sink_ != nullptr || links_down) {
+    for (std::uint32_t pos = 0; pos < copies; ++pos) {
+      const NodeId dst = pos + (pos >= src ? 1 : 0);
+      TraceRecord rec{TraceKind::kSend, ln.now, src, dst, tx.trace_type,
+                      tx.trace_digest, base_id + pos, 0, 0};
+      if (trace_sink_ != nullptr) emit(ln, rec);
+      if (!links_down || !faults_->link_down(src, dst)) continue;
+      ln.metrics->on_drop();
+      rec.kind = TraceKind::kDrop;
+      if (trace_sink_ != nullptr) emit(ln, std::move(rec));
+      fo.dropped.push_back(pos);
+    }
+  }
+  // Several lanes each expand their share at the barrier, the sender's
+  // too: the copies land after the window, and the draws split evenly.
+  if (lanes_.size() == 1) {
+    expand(ln, fo);
+  } else {
+    for (auto& fan_outs : ln.fan_outs) fan_outs.push_back(fo);
+  }
+}
+
+void Controller::expand(Lane& ln, const FanOut& fo) {
+  EventQueue::RunHead head = fo.head;
+  const NodeId from = head.sender;
+  std::int32_t shared = 0;  // copies on the shared envelope, made lazily
+  auto dropped = fo.dropped.begin();
+  // Lane l holds nodes l, l + lanes, ... (WindowedEngine's partition).
+  const auto stride = static_cast<NodeId>(lanes_.size());
+  for (NodeId dst = ln.id; dst < cfg_.n; dst += stride) {
+    if (dst == from) continue;
+    const std::uint32_t pos = dst - (dst > from ? 1 : 0);
+    const std::uint64_t key = head.base + pos;
+    // A dropped copy draws too, keeping the serial stream aligned.
+    const Time sampled = draw_delay(ln, key, from, dst);
+    while (dropped != fo.dropped.end() && *dropped < pos) ++dropped;
+    if (dropped != fo.dropped.end() && *dropped == pos) continue;
+    const Time at =
+        arrival(from, dst, *fo.payload, head.sent, fo.extra, sampled);
+    if (faults_ != nullptr &&
+        faults_->maybe_corrupt(head.sent, key, lane_mode_)) {
+      // A corrupted copy gets its own envelope, around the wrapped payload.
+      Message msg{from, dst, head.sent, fo.base_id + pos,
+                  corrupt_copy(ln, fo.payload)};
+      const std::uint32_t env = ln.store.intern(std::move(msg));
+      ln.queue.push_keyed(at, key, MessageDelivery{env, dst});
+      continue;
+    }
+    if (shared++ == 0) {
+      head.env =
+          ln.store.create(fo.payload, head.sent, fo.base_id, from, true, 0);
+    }
+    if (EventQueue::fits_run(head.sent, at)) {
+      ln.run_build.push_back(
+          RunEntry{static_cast<std::uint32_t>(at - head.sent), pos});
+    } else {
+      ln.queue.push_keyed(at, key, MessageDelivery{head.env, dst});
+    }
+  }
+  if (shared > 0) ln.store.get(head.env).remaining = shared;
+  ln.queue.push_run(head, ln.run_build);
+}
+
+void Controller::send_copy(Lane& ln, const Transmission& tx, NodeId from,
                            NodeId dst) {
   const std::uint64_t id = draw_id(from);
-  Metrics& metrics = *ln.metrics;
-  metrics.on_send();
-  metrics.on_bytes(tx.wire);
-  if (tx.tid != PayloadType::kUnknown) {
-    metrics.count_type(tx.tid);
-  } else {
-    metrics.count_type(std::string(tx.payload->type()));
-  }
+  tx.count(*ln.metrics, 1);
   if (trace_sink_) {
     emit(ln, TraceRecord{TraceKind::kSend, ln.now, tx.src, dst, tx.trace_type,
                          tx.trace_digest, id, 0, 0});
   }
-
-  const Time sampled = [&] {
-    BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kDelaySample);
-    const Time draw =
-        delay_sampler_.sample(lane_mode_ ? net_rngs_[from] : net_rng_);
-    // The WAN matrix adds a pure per-region-pair base on top of the same
-    // single draw the classic path makes, so disabled-backend runs keep
-    // the delay streams bit-aligned with the goldens.
-    return wan_ != nullptr ? draw + wan_->base_delay(from, dst)
-                           : topology_.adjust(draw, from, dst);
-  }();
+  const Time sampled = draw_delay(ln, id, from, dst);
   // Link flaps sit below the attacker: the delay is sampled first (keeping
   // the streams aligned with fault-free runs) and a down link drops the
   // message before the attacker ever sees it.
   if (faults_ != nullptr && faults_->any_link_down() &&
       faults_->link_down(from, dst)) {
-    metrics.on_drop();
+    ln.metrics->on_drop();
     if (trace_sink_) {
       emit(ln, TraceRecord{TraceKind::kDrop, ln.now, tx.src, dst,
                            tx.trace_type, tx.trace_digest, id, 0, 0});
@@ -390,50 +445,41 @@ void Controller::send_copy(Lane& ln, Transmission& tx, NodeId from,
   // materialized — the envelope interns the transmission and the delivery
   // event carries an 8-byte handle. Bit-identical to the hook path: a
   // passive attacker's attack() observes and changes nothing.
-  std::uint32_t env;
-  bool shared = false;
-  if (faults_ != nullptr &&
-      (lane_mode_ ? faults_->maybe_corrupt_from(ln.now, from)
-                  : faults_->maybe_corrupt(ln.now))) {
-    // A corrupted copy diverges from a shared body: it gets its own
-    // single-delivery envelope carrying the wrapped payload.
-    PayloadPtr wrapped = std::allocate_shared<CorruptedPayload>(
-        ArenaAllocator<CorruptedPayload>(ln.arena), PayloadPtr(tx.payload));
-    metrics.on_corrupt();
-    env = make_env(ln, std::move(wrapped), ln.now, id, tx.src, false, 1);
-  } else if (tx.fan_out) {
-    if (tx.shared_env == Transmission::kNoEnvelope) {
-      tx.shared_env =
-          make_env(ln, tx.payload, ln.now, tx.base_id, tx.src, true, 0);
-    }
-    env = tx.shared_env;
-    ln.store.add_pending(env & Lane::kEnvMask, 1);
-    shared = true;
-  } else {
-    env = make_env(ln, tx.payload, ln.now, id, tx.src, false, 1);
-  }
-  if (tx.gossip_id != 0) {
-    ln.store.get(env & Lane::kEnvMask).gossip_id = tx.gossip_id;
-  }
-  const Time at =
-      wan_ != nullptr && wan_->bandwidth_enabled()
-          ? wan_->delivery_time(from, dst, tx.wire, ln.now + tx.extra, sampled)
-          : ln.now + std::max<Time>(tx.extra + sampled, 0);
-  if (!tx.fan_out) {
-    enqueue(ln, at, copy_key(ln, id), MessageDelivery{env, dst});
+  const bool corrupted =
+      faults_ != nullptr && faults_->maybe_corrupt(ln.now, id, lane_mode_);
+  Message msg{tx.src, dst, ln.now, id,
+              corrupted ? corrupt_copy(ln, tx.payload) : tx.payload};
+  const Time at = arrival(from, dst, *tx.payload, ln.now, tx.extra, sampled);
+  const Lane& to = lane_for(dst);
+  if (&to != &ln) {  // lane mode: interned on its lane at the barrier
+    ln.outbox[to.id].push_back({at, id, std::move(msg)});
     return;
   }
-  // A fan-out copy is keyed by its position; a shared-envelope copy joins
-  // its broadcast's run for the destination's lane, which broadcast()
-  // closes after the fan-out.
-  const std::uint32_t pos = dst - (dst > from ? 1 : 0);
-  assert(!lane_mode_ || id == tx.base_key + pos);
-  if (shared && EventQueue::fits_run(ln.now, at)) {
-    ln.broadcast_runs[lane_for(dst).id].build.push_back(
-        RunEntry{static_cast<std::uint32_t>(at - ln.now), pos});
-    return;
+  const std::uint32_t env = ln.store.intern(std::move(msg));
+  ln.store.get(env).gossip_id = tx.gossip_id;
+  ln.queue.push_keyed(at, copy_key(ln, id), MessageDelivery{env, dst});
+}
+
+Time Controller::draw_delay([[maybe_unused]] Lane& ln, std::uint64_t id,
+                            NodeId from, NodeId dst) {
+  BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kDelaySample);
+  std::optional<Rng> keyed;
+  if (lane_mode_) keyed = Rng::keyed(net_seed_, id);
+  const Time draw = delay_sampler_.sample(keyed ? *keyed : net_rng_);
+  // The WAN matrix adds a pure per-region-pair base on top of the same
+  // single draw the classic path makes, so disabled-backend runs keep the
+  // delay streams bit-aligned with the goldens.
+  return wan_ != nullptr ? draw + wan_->base_delay(from, dst)
+                         : topology_.adjust(draw, from, dst);
+}
+
+Time Controller::arrival(NodeId from, NodeId dst, const Payload& payload,
+                         Time sent, Time extra, Time sampled) {
+  if (wan_ == nullptr || !wan_->bandwidth_enabled()) {
+    return sent + std::max<Time>(extra + sampled, 0);
   }
-  enqueue(ln, at, tx.base_key + pos, MessageDelivery{env, dst});
+  const std::size_t wire = payload.wire_size();
+  return wan_->delivery_time(from, dst, wire, sent + extra, sampled);
 }
 
 void Controller::intercept(Lane& ln, const Transmission& tx, NodeId dst,
@@ -469,11 +515,9 @@ void Controller::intercept(Lane& ln, const Transmission& tx, NodeId dst,
       in_flight.msg.src != original_src || in_flight.msg.dst != original_dst) {
     metrics.on_attacker_modify();
   }
-  if (faults_ != nullptr && faults_->maybe_corrupt(ln.now)) {
-    in_flight.msg.payload = std::allocate_shared<CorruptedPayload>(
-        ArenaAllocator<CorruptedPayload>(ln.arena),
-        std::move(in_flight.msg.payload));
-    metrics.on_corrupt();
+  if (faults_ != nullptr &&
+      faults_->maybe_corrupt(ln.now, in_flight.msg.id, lane_mode_)) {
+    in_flight.msg.payload = corrupt_copy(ln, std::move(in_flight.msg.payload));
   }
   Time final_delay = std::max<Time>(in_flight.delay, 0);
   if (wan_ != nullptr && wan_->bandwidth_enabled()) {
@@ -492,18 +536,8 @@ void Controller::deliver_self(Lane& ln, NodeId id, PayloadPtr payload) {
   // (rather than dispatched inline) so handlers never re-enter.
   const std::uint64_t msg_id = draw_id(id);
   const std::uint32_t env =
-      make_env(ln, std::move(payload), ln.now, msg_id, id, false, 1);
-  enqueue(ln, ln.now, copy_key(ln, msg_id), MessageDelivery{env, id});
-}
-
-void Controller::enqueue(Lane& ln, Time at, std::uint64_t key,
-                         MessageDelivery d) {
-  Lane& to = lane_for(d.dst);
-  if (&to == &ln) {
-    ln.queue.push_keyed(at, key, d);
-  } else {
-    ln.outbox[to.id].push_back({at, key, d});
-  }
+      ln.store.intern(Message{id, id, ln.now, msg_id, std::move(payload)});
+  ln.queue.push_keyed(ln.now, copy_key(ln, msg_id), MessageDelivery{env, id});
 }
 
 void Controller::push_timer(Lane& ln, Time at, std::uint64_t key,
@@ -513,19 +547,6 @@ void Controller::push_timer(Lane& ln, Time at, std::uint64_t key,
   } else {
     ln.queue.push(at, fire);
   }
-}
-
-std::uint32_t Controller::make_env(Lane& ln, PayloadPtr payload,
-                                   Time send_time, std::uint64_t base_id,
-                                   NodeId src, bool broadcast,
-                                   std::int32_t remaining) {
-  const std::uint32_t index = ln.store.create(
-      std::move(payload), send_time, base_id, src, broadcast, remaining);
-  return (ln.id << Lane::kEnvShift) | index;
-}
-
-std::uint64_t Controller::next_id(NodeId origin) const noexcept {
-  return lane_mode_ ? origin_key(origin) | key_ctr_[origin] : next_msg_id_;
 }
 
 std::uint64_t Controller::draw_id(NodeId origin) noexcept {
@@ -604,9 +625,9 @@ void Controller::schedule_network_delivery(Message msg, Time delay) {
 
 void Controller::schedule_message_at(Message msg, Time at) {
   Lane& ln = *lanes_.front();
-  const std::uint32_t env = make_env(ln, std::move(msg.payload), msg.send_time,
-                                     msg.id, msg.src, false, 1);
-  ln.queue.push(std::max(at, ln.now), MessageDelivery{env, msg.dst});
+  const NodeId dst = msg.dst;
+  const std::uint32_t env = ln.store.intern(std::move(msg));
+  ln.queue.push(std::max(at, ln.now), MessageDelivery{env, dst});
 }
 
 void Controller::inject_message(Message msg, Time delay) {
@@ -653,11 +674,9 @@ void Controller::deliver_now(const Message& msg) {
       // the original message identity; on the lane engine the fresh key
       // comes from the destination's counter, whose state is
       // lane-count-invariant.
-      const std::uint32_t env = make_env(ln, msg.payload, msg.send_time,
-                                         msg.id, msg.src, false, 1);
-      enqueue(ln, free_at,
-              lane_mode_ ? draw_key(msg.dst) : ln.queue.draw_seq(),
-              MessageDelivery{env, msg.dst});
+      ln.queue.push_keyed(free_at,
+                          lane_mode_ ? draw_key(msg.dst) : ln.queue.draw_seq(),
+                          MessageDelivery{ln.store.intern(msg), msg.dst});
       return;
     }
   }
@@ -808,22 +827,15 @@ bool Controller::is_honest(NodeId id) const noexcept {
 void Controller::dispatch(Lane& ln, Event& ev) {
   ln.cur_key = ev.seq;
   if (const auto* delivery = std::get_if<MessageDelivery>(&ev.body)) {
-    // The handle names the lane whose store interned the transmission.
-    const std::uint32_t owner = delivery->env >> Lane::kEnvShift;
-    const std::uint32_t index = delivery->env & Lane::kEnvMask;
-    EnvelopeStore& store = lanes_[owner]->store;
-    const std::uint64_t gid = store.get(index).gossip_id;
-    const Message msg = store.materialize(index, delivery->dst);
+    // Every envelope is interned by the lane that delivers it.
+    const std::uint64_t gid = ln.store.get(delivery->env).gossip_id;
+    const Message msg = ln.store.materialize(delivery->env, delivery->dst);
     if (gid != 0) {
       gossip_deliver(msg, gid);
     } else {
       deliver_now(msg);
     }
-    if (owner == ln.id) {
-      store.release(index);
-    } else if (store.release_remote(index)) {
-      ln.retired.push_back(delivery->env);
-    }
+    ln.store.release(delivery->env);
     return;
   }
   const auto& fire = std::get<TimerFire>(ev.body);
@@ -890,14 +902,12 @@ RunResult Controller::run() {
         workload_ != nullptr && workload_->serial_only();
     if (attacker_passive_ && !workload_serial) {
       // The lane mode. Ordering keys and message ids come from per-origin
-      // counters, and delay sampling and corruption coins draw from one
-      // stream per sending node, forked off the shared streams in node
-      // order (a function of the seed alone, never of the lane count).
+      // counters, and a copy's delay and corruption coin are pure
+      // functions of its message id (Rng::keyed), never of the lane that
+      // draws them or of when it does.
       lane_mode_ = true;
       key_ctr_.assign(cfg_.n, 0);
-      net_rngs_.reserve(cfg_.n);
-      for (NodeId i = 0; i < cfg_.n; ++i) net_rngs_.push_back(net_rng_.fork(i));
-      if (faults_ != nullptr) faults_->fork_corruption_streams(cfg_.n);
+      net_seed_ = net_rng_.next_u64();
       win_ = std::make_unique<WindowedEngine>(*this);
       return win_->run();
     }

@@ -97,34 +97,35 @@ class Controller {
   // picks the ordering key, the random streams and where products go.
   void send(Lane& ln, NodeId src, NodeId dst, PayloadPtr payload);
   void broadcast(Lane& ln, NodeId src, PayloadPtr payload, bool include_self);
-  /// The per-destination send sequence shared by unicast, broadcast
-  /// fan-out and gossip copies: message id, Send trace, delay draw plus
-  /// topology/WAN base, link-down drop, then either the attacker/delivery
-  /// hook or corruption wrap, envelope and scheduling. `from` is the
-  /// physical sender (a gossip relayer); tx.src the protocol-visible one.
-  void send_copy(Lane& ln, Transmission& tx, NodeId from, NodeId dst);
+  /// A passive broadcast's sender side, done once: ids and keys as one
+  /// block, bulk counts, Send and link-down Drop records; then expand().
+  void fan_out(Lane& ln, const Transmission& tx);
+  /// Draws and queues, in position order, the copies of `fo` for `ln`.
+  void expand(Lane& ln, const FanOut& fo);
+  /// The send sequence of unicast, gossip and attacked copies: id, Send
+  /// trace, delay, link-down drop, then the attacker/delivery hook or the
+  /// corruption coin, envelope and scheduling. `from` is the physical
+  /// sender (a gossip relayer); tx.src the protocol-visible one.
+  void send_copy(Lane& ln, const Transmission& tx, NodeId from, NodeId dst);
   /// The attacker verdict and delivery hook for one copy (serial engine:
   /// attacked runs and subclassed delivery never take the lane mode).
   void intercept(Lane& ln, const Transmission& tx, NodeId dst,
                  std::uint64_t id, Time sampled);
+  /// A copy's delay (keyed by `id` in lane mode) plus WAN/topology base.
+  [[nodiscard]] Time draw_delay(Lane& ln, std::uint64_t id, NodeId from,
+                                NodeId dst);
+  [[nodiscard]] Time arrival(NodeId from, NodeId dst, const Payload& payload,
+                             Time sent, Time extra, Time sampled);
   void deliver_self(Lane& ln, NodeId id, PayloadPtr payload);
   void inject_message(Message msg, Time delay);
-  /// Schedules a delivery under ordering key `key` (via the outbox when
-  /// `d.dst` lives on another lane).
-  void enqueue(Lane& ln, Time at, std::uint64_t key, MessageDelivery d);
   /// The ordering key of a copy with message id `id` that is not part of a
   /// broadcast fan-out: the id on the lane engine, the next insertion
   /// sequence number on the serial engine.
   [[nodiscard]] std::uint64_t copy_key(Lane& ln, std::uint64_t id) noexcept {
     return lane_mode_ ? id : ln.queue.draw_seq();
   }
-  [[nodiscard]] std::uint32_t make_env(Lane& ln, PayloadPtr payload,
-                                       Time send_time, std::uint64_t base_id,
-                                       NodeId src, bool broadcast,
-                                       std::int32_t remaining);
   /// Message ids: the global counter on the serial engine, the sender's
-  /// ordering key on the lane engine. next_id() peeks without drawing.
-  [[nodiscard]] std::uint64_t next_id(NodeId origin) const noexcept;
+  /// ordering key on the lane engine.
   [[nodiscard]] std::uint64_t draw_id(NodeId origin) noexcept;
   /// Lane engine: draws the next ordering key of `origin`.
   [[nodiscard]] std::uint64_t draw_key(NodeId origin) noexcept;
@@ -217,14 +218,14 @@ class Controller {
   bool stopped_ = false;
   Time termination_time_ = kNoTime;
   /// The run's mode, chosen once in run(): true when it executes on the
-  /// windowed lane engine (per-origin keys, per-node streams, products
-  /// buffered per lane), false on the serial engine (insertion order,
-  /// shared streams, products written inline).
+  /// windowed lane engine (per-origin keys, draws keyed by message id,
+  /// products buffered per lane), false on the serial engine (insertion
+  /// order, shared streams, products written inline).
   bool lane_mode_ = false;
 
   Rng run_rng_;   ///< master stream (seeds everything else)
   Rng net_rng_;   ///< network delay sampling
-  std::vector<Rng> net_rngs_;  ///< lane mode: one delay stream per sender
+  std::uint64_t net_seed_ = 0;  ///< lane mode: the keyed delay draws' seed
   std::vector<std::uint64_t> key_ctr_;  ///< lane mode: per-origin counters
   Rng atk_rng_;   ///< attacker randomness
   Vrf vrf_;

@@ -7,13 +7,14 @@
 // an event executes: the clock, the event queue (with its timer ledger),
 // the envelope store its sends intern into, the key of the event being
 // dispatched, the metrics target, buffered run products, the cost-model
-// ledger, broadcast runs, cross-lane outboxes and a profile breakdown.
+// ledger, cross-lane outboxes and a profile breakdown.
 //
 // The run's mode decides how the shared path uses a lane (see
 // docs/PARALLELISM.md): the serial engine orders events by the queue's
 // insertion sequence and writes products straight into the run's metrics
 // and trace sink; the lane engine orders by per-origin keys and buffers
-// products here until the window barrier merges them.
+// products here until the window barrier merges them. A lane draws, queues
+// and interns every copy it delivers, from outboxes at the barrier.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +42,18 @@ struct Keyed {
   T item;
 };
 
-struct Lane {
-  /// Envelope handles pack the owning lane above the store index; a
-  /// store's indexes stay below 1 << 24 by EnvelopeStore's capacity cap.
-  static constexpr unsigned kEnvShift = 24;
-  static constexpr std::uint32_t kEnvMask = (1u << kEnvShift) - 1;
+/// A broadcast as its sender left it (Controller::fan_out): the payload,
+/// the id of position 0, the run head (each lane sets its own envelope),
+/// the signing cost and the dropped positions, ascending.
+struct FanOut {
+  PayloadPtr payload;
+  std::uint64_t base_id = 0;
+  EventQueue::RunHead head;
+  Time extra = 0;
+  std::vector<std::uint32_t> dropped;
+};
 
+struct Lane {
   std::uint32_t id = 0;
   Time now = 0;
   EventQueue queue;
@@ -61,25 +68,14 @@ struct Lane {
   std::vector<Keyed<TraceRecord>> trace;
   std::vector<Keyed<Decision>> decisions;
   std::vector<Keyed<ViewRecord>> views;
-  /// Cross-lane envelopes this lane fully released; the barrier returns
-  /// them to their owner's free list.
-  std::vector<std::uint32_t> retired;
   /// Cost model: deliveries whose verify cost this lane already charged.
   std::unordered_set<std::uint64_t> cpu_charged;
-  /// Cross-lane sends buffered until the barrier, indexed by dest lane.
-  std::vector<std::vector<Keyed<MessageDelivery>>> outbox;
-  /// A broadcast's copies as one run per destination lane, indexed by it.
-  /// `build` gathers the open broadcast's copies in position order. As the
-  /// fan-out ends, the run for this lane joins its queue and a run for
-  /// another lane is sealed into `runs[ready++]`: the first `ready` runs
-  /// wait for the barrier's EventQueue::adopt(), the rest are emptied ones
-  /// kept for reuse.
-  struct BroadcastRuns {
-    std::vector<RunEntry> build;
-    std::vector<EventQueue::Run> runs;
-    std::size_t ready = 0;
-  };
-  std::vector<BroadcastRuns> broadcast_runs;
+  /// Cross-lane sends buffered until the barrier, indexed by dest lane:
+  /// unicast copies and broadcast fan-outs, interned and expanded there.
+  std::vector<std::vector<Keyed<Message>>> outbox;
+  std::vector<std::vector<FanOut>> fan_outs;
+  /// The run an expansion gathers, in position order (reused).
+  std::vector<RunEntry> run_build;
   obs::ProfileBreakdown profile;  ///< populated only under BFTSIM_PROFILING
 };
 

@@ -5,6 +5,7 @@
 #include "sim/windowed.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -120,7 +121,7 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
         Controller::kQueueEntriesPerNode * cfg.n / lanes_n_ + 256,
         Controller::kTimersPerNode * cfg.n / lanes_n_ + 64);
     lane->outbox.resize(lanes_n_);
-    lane->broadcast_runs.resize(lanes_n_);
+    lane->fan_outs.resize(lanes_n_);
     c_.lanes_.push_back(std::move(lane));
   }
   for (NodeId i = 0; i < cfg.n; ++i) c_.bind_lane(i, *c_.lanes_[i % lanes_n_]);
@@ -161,6 +162,19 @@ void WindowedEngine::run_window(Lane& ln, Time w1, std::uint64_t event_cap) {
 // Barriers
 // ---------------------------------------------------------------------------
 
+void WindowedEngine::receive(Lane& ln) {
+  const Arena::Home home(*ln.arena);
+  for (auto& lp : c_.lanes_) {
+    for (const FanOut& fo : lp->fan_outs[ln.id]) c_.expand(ln, fo);
+    lp->fan_outs[ln.id].clear();
+    for (const Keyed<Message>& r : lp->outbox[ln.id]) {
+      const std::uint32_t env = ln.store.intern(r.item);
+      ln.queue.push_keyed(r.at, r.key, MessageDelivery{env, r.item.dst});
+    }
+    lp->outbox[ln.id].clear();
+  }
+}
+
 bool WindowedEngine::apply_faults_at(Time w0) {
   if (c_.faults_ == nullptr) return true;
   const auto& timeline = c_.faults_->events();
@@ -178,32 +192,22 @@ bool WindowedEngine::apply_faults_at(Time w0) {
 
 bool WindowedEngine::merge_window() {
   auto& lanes = c_.lanes_;
-  // 1. Hand fully-released cross-lane envelopes and payload blocks back to
-  // their owners.
-  for (auto& lp : lanes) {
-    for (const std::uint32_t handle : lp->retired) {
-      lanes[handle >> Lane::kEnvShift]->store.recycle(handle & Lane::kEnvMask);
-    }
-    lp->retired.clear();
-    lp->arena->return_foreign();
+  // 1. Hand payload blocks released on other lanes back to their arenas.
+  for (auto& lp : lanes) lp->arena->return_foreign();
+  // 2. Publish cross-lane sends before the next W0 is read, at every
+  // barrier (the last included, so each fan-out expands exactly once), on
+  // the pool after a heavy window. Queue order is (at, key) with unique
+  // keys, so insertion timing cannot affect pop order.
+  window_work_ = 0;
+  for (const auto& lp : lanes) {
+    window_work_ += lp->delta.events_processed() + lp->delta.messages_sent();
   }
-  // 2. Publish cross-lane sends: each broadcast's sorted sub-run for a
-  // lane joins that lane's queue whole, as one cursor, and any other
-  // delivery as a run of one. Queue order is (at, key) with unique keys,
-  // so insertion timing cannot affect pop order.
-  for (auto& lp : lanes) {
-    for (std::uint32_t dst_lane = 0; dst_lane < lanes_n_; ++dst_lane) {
-      EventQueue& queue = lanes[dst_lane]->queue;
-      Lane::BroadcastRuns& out = lp->broadcast_runs[dst_lane];
-      for (std::size_t i = 0; i < out.ready; ++i) {
-        queue.adopt(out.runs[i], lp->queue);
-      }
-      out.ready = 0;
-      for (const Keyed<MessageDelivery>& r : lp->outbox[dst_lane]) {
-        queue.push_keyed(r.at, r.key, r.item);
-      }
-      lp->outbox[dst_lane].clear();
-    }
+  if (lanes_n_ > 1 && window_work_ >= kInlineWindowWork) {
+    parallel_for(*pool_, lanes_n_, [this](std::size_t l) {
+      receive(*c_.lanes_[l]);
+    });
+  } else {
+    for (auto& lp : lanes) receive(*lp);
   }
   // 3. Fold counter deltas into the run metrics.
   for (auto& lp : lanes) {
@@ -251,28 +255,18 @@ RunResult WindowedEngine::run() {
   if (!within_budget) reason = TerminationReason::kEventBudget;
   std::uint64_t windows_parallel = 0;
   std::uint64_t windows_inline = 0;
-  std::uint64_t last_window_work = 0;  // the first window runs inline
   while (within_budget && !c_.stopped_) {
     // W0: the earliest pending instant across every lane and the fault
     // timeline — the same instant the serial engine would pop next.
-    Time w0 = 0;
-    bool any = false;
+    constexpr Time kNone = std::numeric_limits<Time>::max();
+    Time w0 = kNone;
     for (const auto& lp : c_.lanes_) {
-      if (lp->queue.empty()) continue;
-      const Time t = lp->queue.next_time();
-      if (!any || t < w0) {
-        w0 = t;
-        any = true;
-      }
+      if (!lp->queue.empty()) w0 = std::min(w0, lp->queue.next_time());
     }
     if (c_.faults_ != nullptr && fault_cursor_ < fault_count_) {
-      const Time t = c_.faults_->events()[fault_cursor_].at;
-      if (!any || t < w0) {
-        w0 = t;
-        any = true;
-      }
+      w0 = std::min(w0, c_.faults_->events()[fault_cursor_].at);
     }
-    if (!any) break;  // kQueueDrained
+    if (w0 == kNone) break;  // kQueueDrained
     if (w0 > c_.horizon_) {
       reason = TerminationReason::kHorizon;
       break;
@@ -292,11 +286,11 @@ RunResult WindowedEngine::run() {
     }
     w1 = std::min(w1, c_.horizon_ + 1);
 
-    // Per-lane runaway valve: a single lane may overshoot the remaining
-    // budget by at most one window before the barrier converts the
-    // overshoot into kEventBudget.
-    std::uint64_t cap =
-        c_.cfg_.max_events + 1 - c_.metrics_.events_processed();
+    // The event budget is checked at barriers, so a window that crosses
+    // it runs to its end and the run stops with every lane count at the
+    // same barrier. The per-lane cap is only a runaway valve: a window
+    // that alone exceeds the whole budget stops there.
+    std::uint64_t cap = c_.cfg_.max_events + 1;
     // Zero-lookahead runs (always a single lane) deliver same-instant
     // messages into the window being executed, so a protocol that keeps
     // talking after its last decision never drains the instant — and the
@@ -305,9 +299,7 @@ RunResult WindowedEngine::run() {
     // that cadence by forcing a barrier every few thousand events. The
     // quota is a constant, so the event sequence stays deterministic.
     if (lookahead_ <= 0) cap = std::min<std::uint64_t>(cap, 4096);
-    const std::uint64_t work_before =
-        c_.metrics_.events_processed() + c_.metrics_.messages_sent();
-    if (lanes_n_ > 1 && last_window_work >= kInlineWindowWork) {
+    if (lanes_n_ > 1 && window_work_ >= kInlineWindowWork) {
       parallel_for(*pool_, lanes_n_, [this, w1, cap](std::size_t l) {
         run_window(*c_.lanes_[l], w1, cap);
       });
@@ -319,8 +311,6 @@ RunResult WindowedEngine::run() {
       ++windows_inline;
     }
     within_budget = merge_window();
-    last_window_work = c_.metrics_.events_processed() +
-                       c_.metrics_.messages_sent() - work_before;
     if (!within_budget) reason = TerminationReason::kEventBudget;
   }
   if (c_.stopped_) reason = TerminationReason::kDecided;

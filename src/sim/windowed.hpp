@@ -27,10 +27,10 @@
 // The per-event work itself is the controller's: each lane (sim/lane.hpp)
 // runs Controller::dispatch and the one send/deliver/timer path, in the
 // lane mode the controller selects for the run. That mode's one semantic
-// divergence from the serial engine: network-delay sampling and
-// fault-corruption coins draw from per-sending-node RNG forks instead of
-// one shared stream (a shared stream would make draw order depend on the
-// interleaving). Windowed runs therefore have their own goldens;
+// divergence from the serial engine: a copy's network delay and
+// corruption coin are pure functions of (seed, message id), not draws
+// from one shared stream (whose order would depend on the interleaving).
+// Windowed runs therefore have their own goldens;
 // `engine.intra_jobs = 1` with `engine.rng = "per_node"` is the one-lane
 // baseline those goldens pin. This driver holds only the window logic:
 // the lookahead, the lane partition, the barrier loop, fault transitions
@@ -80,9 +80,11 @@ class WindowedEngine {
   /// Applies fault transitions scheduled exactly at `w0`; returns false
   /// when the event budget was exhausted mid-application.
   [[nodiscard]] bool apply_faults_at(Time w0);
-  /// Drains outboxes/retire lists and merges window products into the
-  /// controller's metrics/sink; returns false when the event budget is
-  /// exhausted. Sets stopped_/termination on the completing decision.
+  /// Expands and interns what the lanes posted for `ln` (barrier step).
+  void receive(Lane& ln);
+  /// Drains outboxes and merges window products into the controller's
+  /// metrics/sink; returns false when the event budget is exhausted. Sets
+  /// stopped_/termination on the completing decision.
   [[nodiscard]] bool merge_window();
 
   /// A window runs its lanes inline on the driver thread, not on the
@@ -92,8 +94,8 @@ class WindowedEngine {
   /// Short lookaheads (a 1 ms `min_ms` clamp) cut linear protocols into
   /// thousands of windows of a few dozen events each; copies count because
   /// a window of a dozen deliveries that each answer with an n-copy
-  /// broadcast is heavy. The rule reads counters, never the clock, and
-  /// cannot change results.
+  /// broadcast is heavy; the barrier after it expands on the pool too. The
+  /// rule reads counters, never the clock, and cannot change results.
   static constexpr std::uint64_t kInlineWindowWork = 256;
 
   Controller& c_;
@@ -103,6 +105,7 @@ class WindowedEngine {
   std::size_t fault_count_ = 0;      ///< timeline entries within the horizon
   std::uint64_t honest_total_ = 0;   ///< live honest nodes (fixed: no attacker)
   std::uint64_t nodes_done_ = 0;     ///< honest nodes at the decision target
+  std::uint64_t window_work_ = 0;    ///< last window: events + copies sent
   std::unique_ptr<ThreadPool> pool_;  ///< non-null only when lanes_n_ > 1
   bool ran_ = false;
 };

@@ -384,41 +384,6 @@ TEST(EventQueueTest, ChunksComeFromSlabsThatDoubleThePool) {
   EXPECT_EQ(queue.free_chunks(), queue.pool_chunks());
 }
 
-// The lane engine seals a run on the sending lane's queue and the barrier
-// queues it on the destination's: the chunks move, and the sender gets as
-// many free ones back.
-TEST(EventQueueTest, AdoptTakesChunksAndHandsBackAsMany) {
-  EventQueue sender;
-  EventQueue queue;
-  std::vector<RunEntry> build;
-  for (std::uint32_t pos = 0; pos < 100; ++pos) {
-    build.push_back({100 - pos, pos});
-  }
-  EventQueue::Run run;
-  sender.seal({/*sent=*/5, /*base=*/1u << 20, /*env=*/7, /*sender=*/100},
-              build, run);
-  EXPECT_TRUE(build.empty());
-  EXPECT_EQ(run.size, 100u);
-  EXPECT_EQ(run.chunks.size(), 2u);
-  EXPECT_EQ(sender.free_chunks() + 2, sender.pool_chunks());
-  queue.adopt(run, sender);
-  EXPECT_EQ(run.size, 0u);
-  EXPECT_TRUE(run.chunks.empty());
-  // The pools stay balanced: the sender has as many free chunks as before.
-  EXPECT_EQ(sender.free_chunks(), sender.pool_chunks());
-  EXPECT_EQ(queue.free_chunks() + 2, queue.pool_chunks());
-  EXPECT_EQ(queue.size(), 100u);
-  for (std::uint32_t pos = 100; pos-- > 0;) {
-    const Event ev = queue.pop();
-    EXPECT_EQ(ev.at, 5 + 100 - pos);
-    EXPECT_EQ(ev.seq, (1u << 20) + pos);
-    EXPECT_EQ(std::get<MessageDelivery>(ev.body).dst, pos);
-  }
-  EXPECT_EQ(queue.free_chunks(), queue.pool_chunks());
-  queue.adopt(run, sender);  // an empty run: a no-op
-  EXPECT_TRUE(queue.empty());
-}
-
 TEST(EventQueueTest, DelaysBeyondThirtyTwoBitsDoNotFitARun) {
   EXPECT_TRUE(EventQueue::fits_run(-7, -7));
   EXPECT_TRUE(EventQueue::fits_run(10, 10 + static_cast<Time>(
@@ -483,10 +448,8 @@ struct Pending {
 // Property: a random mix of broadcast runs keyed by position (empty ones,
 // ones with every copy but one dropped, ones with corrupted copies and
 // copies delayed past 2^32 µs pushed alone under their position's key),
-// runs sealed on another queue and adopted (the lane engine's runs for
-// another lane, whose positions for other lanes are skipped), single
-// deliveries, timers and cancellations pops in exactly the (at, seq) order
-// of a reference sort, and size() == queued deliveries +
+// single deliveries, timers and cancellations pops in exactly the (at, seq)
+// order of a reference sort, and size() == queued deliveries +
 // pending_timer_count() + tombstone_count() holds between every pop and
 // its dispatch. Run lengths cover chunk boundaries (1, 63, 64, 65) and
 // broadcast sizes (1023, 4095); senders sit first, last or anywhere.
@@ -498,7 +461,6 @@ struct Pending {
 TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
   Rng rng{GetParam() ^ 0x7a11};
   EventQueue queue;
-  EventQueue other;  // the sending lane of adopted runs
   std::map<std::pair<Time, std::uint64_t>, Pending> pending;
   std::size_t deliveries = 0;
   std::uint32_t next_env = 1;
@@ -508,8 +470,6 @@ TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
   std::vector<std::uint8_t> timer_queued;
   std::vector<std::uint8_t> timer_cancelled;
   std::vector<RunEntry> build;
-  EventQueue::Run sealed;  // reused, as a lane's sealed runs are
-  std::uint64_t sub_key = std::uint64_t{1} << 40;
   Time clock = 0;
   const auto later = [&] {
     return clock + static_cast<Time>(rng.next_below(40));
@@ -581,7 +541,7 @@ TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
   };
 
   for (int round = 0; round < 1500; ++round) {
-    switch (rng.next_below(6)) {
+    switch (rng.next_below(5)) {
       case 0: {  // a broadcast fan-out
         const std::uint32_t env = next_env++;
         const std::uint32_t copies = copies_of_run();
@@ -649,32 +609,6 @@ TEST_P(EventQueuePropertyTest, RunsSinglesAndTimersPopInKeyOrder) {
                          TimerFire{TimerOwner::kNode, 0, id, 0});
         arm(at, timer_key, id);
         if (HasFatalFailure()) return;
-        break;
-      }
-      case 4: {  // a broadcast run sealed by another lane's queue
-        const std::uint32_t env = next_env++;
-        const std::uint32_t copies = copies_of_run();
-        const NodeId sender = sender_of(copies);
-        const EventQueue::RunHead head{clock, sub_key, env, sender};
-        sub_key += copies;
-        for (std::uint32_t pos = 0; pos < copies; ++pos) {
-          // Copies for other lanes, and dropped ones, skip a position.
-          if (rng.next_below(3) == 0) continue;
-          const Time at = later();
-          build.push_back({static_cast<std::uint32_t>(at - clock), pos});
-          const NodeId dst = pos + (pos >= sender ? 1 : 0);
-          add(at, head.base + pos, {false, env, dst, 0});
-        }
-        const std::size_t chunks =
-            (build.size() + EventQueue::kChunkEntries - 1) /
-            EventQueue::kChunkEntries;
-        other.seal(head, build, sealed);
-        ASSERT_EQ(sealed.chunks.size(), chunks);
-        queue.adopt(sealed, other);
-        ASSERT_EQ(sealed.size, 0u);
-        ASSERT_TRUE(sealed.chunks.empty());
-        // Whatever seal() took, the sender has back as many chunks.
-        ASSERT_EQ(other.free_chunks(), other.pool_chunks());
         break;
       }
       default:  // cancel an armed timer, which may have fired already

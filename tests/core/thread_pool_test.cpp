@@ -164,45 +164,6 @@ TEST(ThreadPoolTest, OnlyFirstTaskErrorIsKept) {
   pool.wait_idle();  // error consumed; pool is idle and clean
 }
 
-TEST(ThreadPoolTest, SuppressedFailureCountIsReported) {
-  ThreadPool pool{1};  // single worker: deterministic execution order
-  pool.submit([] { throw std::runtime_error("first"); });
-  pool.submit([] { throw std::runtime_error("second"); });
-  pool.submit([] { throw std::runtime_error("third"); });
-  try {
-    pool.wait_idle();
-    FAIL() << "expected wait_idle to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");  // the original exception, unchanged
-  }
-  // The two exceptions discarded alongside "first" are accounted for.
-  EXPECT_EQ(pool.last_suppressed_failures(), 2u);
-
-  // A clean wait resets the report.
-  pool.wait_idle();
-  EXPECT_EQ(pool.last_suppressed_failures(), 0u);
-}
-
-TEST(ThreadPoolTest, SingleFailureSuppressesNothing) {
-  ThreadPool pool{2};
-  pool.submit([] { throw std::runtime_error("only"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(pool.last_suppressed_failures(), 0u);
-}
-
-TEST(ThreadPoolTest, SuppressedCountResetsBetweenBatches) {
-  ThreadPool pool{1};
-  pool.submit([] { throw std::runtime_error("a"); });
-  pool.submit([] { throw std::runtime_error("b"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(pool.last_suppressed_failures(), 1u);
-
-  // The next failing batch starts counting from zero.
-  pool.submit([] { throw std::runtime_error("c"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(pool.last_suppressed_failures(), 0u);
-}
-
 TEST(ThreadPoolTest, DestructorSwallowsPendingTaskError) {
   // A stored error with no wait_idle call must not escape the destructor.
   ThreadPool pool{2};

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/run_result_eq.hpp"
@@ -309,13 +310,13 @@ TEST(WindowedFaults, RandomWindowScenariosAreLaneCountInvariant) {
   expect_parallel_windows(cfg, kWideN);
 }
 
-// --- broadcast runs split across lanes ---------------------------------------
+// --- broadcast fan-outs expanded by their destination lanes ------------------
 
-// Every broadcast queues its copies for the sender's own lane as one run
-// and publishes the rest at the barrier as one sub-run per destination
-// lane. Here corrupted copies (runs of one pushed mid-fan-out) and a
-// link-down drop (a skipped key) cut the runs too. The result at 2..8
-// lanes must equal the one-lane run, where each broadcast is a single run.
+// The sender keeps a broadcast's books and every lane expands its share of
+// the copies at the barrier. Here corrupted copies (runs of one pushed
+// mid-expansion) and a link-down drop (a skipped key) cut the runs too. The
+// result at 2..8 lanes must equal the one-lane run, where each broadcast is
+// a single run.
 TEST(WindowedRuns, BroadcastSubRunsAcrossTwoToEightLanesMatchOneLane) {
   SimConfig cfg = base_cfg();
   cfg.n = 24;
@@ -333,13 +334,76 @@ TEST(WindowedRuns, BroadcastSubRunsAcrossTwoToEightLanesMatchOneLane) {
   }
 }
 
+// Every layer an expansion applies, at once: the WAN RTT matrix's base on
+// each draw, the cost model's signing time before the wire, corrupted
+// copies (each interned alone by the lane that delivers it) and a link
+// flap's dropped positions.
+TEST(WindowedRuns, FanOutsThroughWanCostCorruptionAndFlapsMatchOneLane) {
+  SimConfig cfg = base_cfg();
+  cfg.n = 24;
+  cfg.decisions = 2;
+  cfg.net = WanSpec::from_json(json::parse(R"({"rtt": {"matrix": "geo8"}})"));
+  cfg.cost.verify_ms = 0.4;
+  cfg.cost.sign_ms = 0.9;
+  cfg.faults.corruption.rate = 0.1;
+  cfg.faults.link_flaps.push_back(
+      {/*a=*/3, /*b=*/10, /*at_ms=*/0.0, /*duration_ms=*/5000.0});
+  const RunResult one = run_windowed(cfg, 1);
+  ASSERT_TRUE(one.terminated);
+  EXPECT_GT(one.messages_corrupted, 0u);
+  EXPECT_GT(one.messages_dropped, 0u);
+  for (std::uint32_t jobs = 2; jobs <= 8; ++jobs) {
+    SCOPED_TRACE("intra_jobs=" + std::to_string(jobs));
+    expect_identical(run_windowed(cfg, jobs), one);
+  }
+  expect_parallel_windows(cfg, kWideN);
+}
+
+// A run that stops at a barrier still expands the fan-outs posted in its
+// last window, so the corrupted copies (counted by the expansion) and the
+// link-down drops (counted by the sender) match the one-lane run, which
+// expands each fan-out as it is sent. Three stops: decided, the horizon,
+// and an event budget that runs out in the horizon run's last window, so
+// that run stops at the same barrier at every lane count.
+TEST(WindowedRuns, StopsAtABarrierExpandPendingFanOutsAtEveryLaneCount) {
+  SimConfig decided = base_cfg();
+  decided.n = 24;
+  decided.decisions = 2;
+  decided.faults.corruption.rate = 0.1;
+  decided.faults.link_flaps.push_back(
+      {/*a=*/1, /*b=*/6, /*at_ms=*/0.0, /*duration_ms=*/60'000.0});
+  SimConfig horizon = decided;
+  horizon.max_time_ms = 900.0;
+  SimConfig budget = horizon;
+  budget.max_events = run_windowed(horizon, 1).events_processed - 1;
+  const std::pair<SimConfig, TerminationReason> stops[] = {
+      {decided, TerminationReason::kDecided},
+      {horizon, TerminationReason::kHorizon},
+      {budget, TerminationReason::kEventBudget}};
+  for (const auto& [cfg, reason] : stops) {
+    SCOPED_TRACE(to_string(reason));
+    const RunResult one = run_windowed(cfg, 1);
+    ASSERT_EQ(one.termination_reason, reason);
+    EXPECT_GT(one.messages_corrupted, 0u);
+    EXPECT_GT(one.messages_dropped, 0u);
+    // Copies still in flight: the last window sent some.
+    EXPECT_GT(one.messages_sent, one.messages_delivered + one.messages_dropped);
+    for (const std::uint32_t jobs : {2u, 3u, 4u, 8u}) {
+      SCOPED_TRACE("intra_jobs=" + std::to_string(jobs));
+      const RunResult lanes = run_windowed(cfg, jobs);
+      EXPECT_EQ(lanes.messages_corrupted, one.messages_corrupted);
+      EXPECT_EQ(lanes.messages_dropped, one.messages_dropped);
+      expect_identical(lanes, one);
+    }
+  }
+}
+
 // Per-lane runs that span several 64-entry chunks: at n = 300 a
 // broadcast's run for one of two, three or four lanes has 75 to 150
-// copies (eight lanes give runs of one chunk). The sending lane seals each
-// into its own chunks; the destination lane adopts them at the barrier and
-// hands back as many free ones. The trace is fingerprinted through a
-// binary sink that keeps nothing, since the in-memory trace of a run this
-// size would take tens of megabytes.
+// copies (eight lanes give runs of one chunk), each drawn and queued by
+// its destination lane. The trace is fingerprinted through a binary sink
+// that keeps nothing, since the in-memory trace of a run this size would
+// take tens of megabytes.
 TEST(WindowedRuns, MultiChunkSubRunsAcrossTwoToEightLanesMatchOneLane) {
   SimConfig cfg = base_cfg();
   cfg.n = 300;
