@@ -119,7 +119,7 @@ class Report {
   Aggregate measure(const std::string& label, const SimConfig& cfg,
                     std::size_t repeats) {
     const auto start = std::chrono::steady_clock::now();
-    Aggregate agg = run_repeated_parallel(cfg, repeats, args_.jobs);
+    Aggregate agg = run_repeated(cfg, repeats, args_.jobs);
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
     add(make_manifest(label, cfg, repeats, wall.count()), agg);

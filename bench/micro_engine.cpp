@@ -185,7 +185,7 @@ void BM_RunRepeatedParallel(benchmark::State& state) {
   cfg.delay = DelaySpec::normal(250, 50);
   const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_repeated_parallel(cfg, 16, jobs).runs);
+    benchmark::DoNotOptimize(run_repeated(cfg, 16, jobs).runs);
   }
 }
 BENCHMARK(BM_RunRepeatedParallel)->Arg(1)->Arg(2)->Arg(4);

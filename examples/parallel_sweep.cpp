@@ -1,8 +1,8 @@
 // Parallel sweep: the multi-core experiment API end to end — build a list
 // of sweep points (here: PBFT vs HotStuff+NS across three delay
 // environments), fan every (point, seed) run across a worker pool with
-// run_sweep(), verify the aggregates match a serial rerun exactly, and
-// export everything as one JSON document.
+// run_sweep_guarded(), verify the aggregates match a serial rerun exactly,
+// and export everything as one JSON document.
 //
 // Usage: parallel_sweep [repeats] [--jobs N] [--json PATH]
 //   Defaults: 20 repeats, one worker per hardware core, no JSON file.
@@ -61,16 +61,22 @@ int main(int argc, char** argv) {
   std::printf("sweeping %zu points x %zu repeats on %zu workers...\n",
               points.size(), repeats, jobs);
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<Aggregate> aggregates = run_sweep(points, repeats, jobs);
+  const SweepOutcome sweep =
+      run_sweep_guarded(points, repeats, jobs, {}, labels);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  for (const RunFailure& failure : sweep.failures) {
+    std::fprintf(stderr, "error: %s: %s\n", failure.label.c_str(),
+                 failure.error.c_str());
+  }
+  if (!sweep.ok()) return 1;
 
   Table table{{"point", "latency", "msgs/dec", "timeouts"}, 14};
   table.print_header(std::cout);
   json::Array results;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const Aggregate& agg = aggregates[i];
+    const Aggregate& agg = sweep.points[i].aggregate;
     table.print_row(std::cout,
                     {labels[i],
                      Table::cell(agg.per_decision_latency_ms.mean / 1e3,
@@ -90,7 +96,8 @@ int main(int argc, char** argv) {
 
   // Determinism spot check: the first point, rerun serially, must
   // aggregate to exactly the same numbers.
-  if (!equivalent(aggregates[0], run_repeated(points[0], repeats))) {
+  if (!equivalent(sweep.points[0].aggregate,
+                  run_repeated(points[0], repeats))) {
     std::printf("!! parallel aggregate differs from serial rerun\n");
     return 1;
   }

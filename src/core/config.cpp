@@ -87,7 +87,6 @@ json::Value EngineConfig::to_json() const {
   o["intra_jobs"] = static_cast<std::int64_t>(intra_jobs);
   switch (rng) {
     case RngMode::kAuto: o["rng"] = std::string("auto"); break;
-    case RngMode::kStream: o["rng"] = std::string("stream"); break;
     case RngMode::kPerNode: o["rng"] = std::string("per_node"); break;
   }
   return json::Value{std::move(o)};
@@ -103,7 +102,9 @@ EngineConfig EngineConfig::from_json(const json::Value& v,
   if (mode == "auto") {
     engine.rng = RngMode::kAuto;
   } else if (mode == "stream") {
-    engine.rng = RngMode::kStream;
+    fail(path + ".rng",
+         "rng mode \"stream\" was removed; use \"auto\", which draws from "
+         "the same shared streams at intra_jobs = 1");
   } else if (mode == "per_node") {
     engine.rng = RngMode::kPerNode;
   } else {
@@ -131,11 +132,6 @@ void SimConfig::validate() const {
   }
   if (engine.intra_jobs < 1 || engine.intra_jobs > EngineConfig::kMaxIntraJobs) {
     throw std::invalid_argument("config: engine.intra_jobs out of [1, 128]");
-  }
-  if (engine.rng == EngineConfig::RngMode::kStream && engine.intra_jobs > 1) {
-    throw std::invalid_argument(
-        "config: engine.rng \"stream\" is serial-only; use \"auto\" or "
-        "\"per_node\" with engine.intra_jobs > 1");
   }
   // Note: engine.per_node_rng() combined with a configured attack is NOT
   // rejected here — a global attacker's observation order is not

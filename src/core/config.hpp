@@ -71,17 +71,17 @@ struct CostModel {
 /// intra_jobs > 1 selects the windowed-parallel driver (sim/windowed.cpp),
 /// which partitions nodes across lanes and executes bounded-lookahead time
 /// windows concurrently. Results are bit-identical for every intra_jobs
-/// value >= 1 under the per-node mode; they differ from the legacy
-/// single-stream mode only in how each delay and corruption coin is drawn
-/// (see docs/PARALLELISM.md).
+/// value >= 1 under the per-node mode; they differ from the serial
+/// engine's shared streams only in how each delay and corruption coin is
+/// drawn (see docs/PARALLELISM.md).
 struct EngineConfig {
   /// Where network-delay / corruption draws come from.
-  ///  - kAuto:    stream when intra_jobs == 1, keyed otherwise (default);
-  ///  - kStream:  the legacy single shared stream (serial only);
+  ///  - kAuto:    shared streams when intra_jobs == 1, keyed otherwise
+  ///    (default);
   ///  - kPerNode: keyed draws, each a pure function of (seed, message id) —
   ///    the windowed algorithm even at intra_jobs == 1, giving a serial
   ///    baseline that is bit-identical to every parallel lane count.
-  enum class RngMode : std::uint8_t { kAuto, kStream, kPerNode };
+  enum class RngMode : std::uint8_t { kAuto, kPerNode };
   static constexpr std::uint32_t kMaxIntraJobs = 128;
 
   std::uint32_t intra_jobs = 1;  ///< worker lanes for one run; 1 = serial

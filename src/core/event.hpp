@@ -15,10 +15,10 @@
 
 namespace bftsim {
 
-/// Who registered a timer (and therefore who receives its firing).
-/// kFault timers carry a fault-timeline index in their tag and drive the
-/// fault injector's crash/recover and link up/down transitions.
-enum class TimerOwner : std::uint8_t { kNode, kAttacker, kSystem, kFault };
+/// Who registered a timer (and therefore who receives its firing). Fault
+/// transitions are not timers: the run loops apply them from the fault
+/// timeline's own cursor (Controller::apply_next_fault).
+enum class TimerOwner : std::uint8_t { kNode, kAttacker, kSystem };
 
 /// A message event: the envelope at store index `env` materializes into a
 /// Message and is delivered to `dst`. The 8-byte handle replaces the full

@@ -1,8 +1,9 @@
 // Runtime fault state for one run.
 //
 // The controller constructs a FaultInjector when the config's fault section
-// is enabled, schedules each planned FaultEvent as a kFault timer on the
-// event queue, and calls apply() when one fires. Between transitions the
+// is enabled, walks the planned FaultEvents with one cursor, and calls
+// apply() for each before any event at its instant, counting it as one
+// event and one timer firing, on both engines. Between transitions the
 // injector answers the hot-path queries: is this node crashed (drop the
 // delivery / defer the timer), is this link down (drop the send), should
 // this send be corrupted, and how does this node's clock distort a timer
@@ -68,15 +69,15 @@ class FaultInjector {
   /// seed. `cfg` must already be validated against `n`.
   FaultInjector(const FaultConfig& cfg, std::uint32_t n, Rng fault_rng);
 
-  /// The expanded timeline the controller schedules as kFault timers.
+  /// The expanded, time-sorted timeline; the controller applies its prefix
+  /// within the horizon in order.
   [[nodiscard]] const std::vector<FaultEvent>& events() const noexcept {
     return plan_.events();
   }
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
-  /// Applies the transition at timeline position `index` (fired kFault
-  /// timers carry the index as their node tag).
+  /// Applies the transition at timeline position `index`.
   void apply(std::size_t index);
 
   [[nodiscard]] bool is_crashed(NodeId node) const noexcept {

@@ -3,8 +3,8 @@
 // each run's seed is a pure function of its repeat index (base.seed + i,
 // computed inside the task), per-run results land in a slot indexed by
 // repeat number, and summaries are computed from that vector in order —
-// which is what makes run_repeated_parallel() bit-identical to
-// run_repeated() regardless of worker count or scheduling.
+// which is what makes run_repeated() bit-identical for every job count and
+// schedule.
 #include "runner/runner.hpp"
 
 #include <algorithm>
@@ -123,12 +123,8 @@ bool equivalent(const Aggregate& a, const Aggregate& b) noexcept {
          summaries_equal(a.workload_p999_ms, b.workload_p999_ms);
 }
 
-Aggregate run_repeated(const SimConfig& base, std::size_t repeats) {
-  return aggregate_results(run_batch(base, repeats, 1));
-}
-
-Aggregate run_repeated_parallel(const SimConfig& base, std::size_t repeats,
-                                std::size_t jobs) {
+Aggregate run_repeated(const SimConfig& base, std::size_t repeats,
+                       std::size_t jobs) {
   return aggregate_results(run_batch(base, repeats, jobs));
 }
 
@@ -150,9 +146,10 @@ SweepOutcome run_sweep_guarded(const std::vector<SimConfig>& points,
   const auto point_label = [&labels](std::size_t p) {
     return labels.empty() ? "point-" + std::to_string(p) : labels[p];
   };
-  // Same flat (point, repeat) fan-out as run_sweep, but nothing a run
-  // throws escapes its slot: the sweep always completes and failures are
-  // reported as data.
+  // One flat task per (point, repeat) pair over one shared pool, so a
+  // point with slow runs cannot serialize the whole sweep behind it.
+  // Nothing a run throws escapes its slot: the sweep always completes and
+  // failures are reported as data.
   const std::size_t count = points.size() * repeats;
   ThreadPool pool(jobs == 0 ? ThreadPool::default_workers() : jobs);
   std::vector<Slot<RunResult>> slots;
@@ -210,33 +207,6 @@ SweepOutcome run_sweep_guarded(const std::vector<SimConfig>& points,
     outcome.points.push_back(std::move(point));
   }
   return outcome;
-}
-
-std::vector<Aggregate> run_sweep(const std::vector<SimConfig>& points,
-                                 std::size_t repeats, std::size_t jobs) {
-  std::vector<std::vector<RunResult>> results(points.size());
-  for (std::vector<RunResult>& point_results : results) {
-    point_results.resize(repeats);
-  }
-
-  // One flat task per (point, repeat) pair over one shared pool, so a
-  // point with slow runs cannot serialize the whole sweep behind it.
-  ThreadPool pool(jobs == 0 ? ThreadPool::default_workers() : jobs);
-  parallel_for(pool, points.size() * repeats,
-               [&points, &results, repeats](std::size_t flat) {
-                 const std::size_t p = flat / repeats;
-                 const std::size_t i = flat % repeats;
-                 SimConfig cfg = points[p];
-                 cfg.seed = points[p].seed + i;
-                 results[p][i] = run_kept(cfg);
-               });
-
-  std::vector<Aggregate> aggregates;
-  aggregates.reserve(points.size());
-  for (const std::vector<RunResult>& point_results : results) {
-    aggregates.push_back(aggregate_results(point_results));
-  }
-  return aggregates;
 }
 
 SimConfig experiment_config(const std::string& protocol, std::uint32_t n,

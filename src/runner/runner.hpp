@@ -63,26 +63,15 @@ struct Aggregate {
 /// Runs `base` `repeats` times (seeds base.seed, base.seed+1, ...) and
 /// aggregates. Runs that fail to terminate count as timeouts; see the
 /// Aggregate comment for which summaries include them.
-[[nodiscard]] Aggregate run_repeated(const SimConfig& base, std::size_t repeats);
-
-/// Parallel run_repeated: fans the `repeats` independent (config, seed)
-/// runs across `jobs` worker threads (0 = ThreadPool::default_workers()).
-/// Each run's seed is a pure function of its repeat index (base.seed + i,
-/// computed inside the task — scheduling cannot perturb it), results are
-/// aggregated in repeat order, and every run owns its own
-/// Simulation/RNG/Metrics, so the returned Aggregate is `equivalent()` to
-/// the serial one for any job count.
-[[nodiscard]] Aggregate run_repeated_parallel(const SimConfig& base,
-                                              std::size_t repeats,
-                                              std::size_t jobs);
-
-/// Runs every configuration in `points` `repeats` times, fanning all
-/// (point, seed) pairs across one shared pool of `jobs` workers (0 =
-/// default), and returns one Aggregate per point, in input order. Each
-/// entry is `equivalent()` to `run_repeated(points[i], repeats)`.
-[[nodiscard]] std::vector<Aggregate> run_sweep(const std::vector<SimConfig>& points,
-                                               std::size_t repeats,
-                                               std::size_t jobs);
+///
+/// `jobs` > 1 fans the independent (config, seed) runs across that many
+/// worker threads (0 = ThreadPool::default_workers()); 1 runs them inline.
+/// Each run's seed is a pure function of its repeat index (computed inside
+/// the task — scheduling cannot perturb it), results are aggregated in
+/// repeat order, and every run owns its own Simulation/RNG/Metrics, so the
+/// returned Aggregate is `equivalent()` for every job count.
+[[nodiscard]] Aggregate run_repeated(const SimConfig& base, std::size_t repeats,
+                                     std::size_t jobs = 1);
 
 /// Budget caps a guarded sweep applies to every run so a divergent
 /// configuration terminates (with a recorded reason) instead of hanging
@@ -138,12 +127,14 @@ struct SweepOutcome {
   [[nodiscard]] bool ok() const noexcept { return failures.empty(); }
 };
 
-/// Crash-safe run_sweep: each run executes under a try/catch, so one
-/// throwing configuration produces a RunFailure record (config + seed
-/// included) while the rest of the sweep completes. `watchdog` budgets are
-/// applied to every run. With no failures, each point's Aggregate is
-/// `equivalent()` to the corresponding run_sweep entry (given the same
-/// effective budgets).
+/// Runs every configuration in `points` `repeats` times, fanning all
+/// (point, seed) pairs across one shared pool of `jobs` workers (0 =
+/// default), and returns one outcome per point, in input order. Each run
+/// executes under a try/catch, so one throwing configuration produces a
+/// RunFailure record (config + seed included) while the rest of the sweep
+/// completes. `watchdog` budgets are applied to every run. With no
+/// failures, each point's Aggregate is `equivalent()` to
+/// `run_repeated(points[i], repeats)` (given the same effective budgets).
 ///
 /// `labels`, when non-empty, must have one entry per point; each failure's
 /// `label` is then "<labels[point]>/repeat-<i>". An empty vector falls

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -164,6 +165,7 @@ Controller::Controller(SimConfig cfg)
     failstopped_.push_back(ids[i]);
   }
   std::sort(failstopped_.begin(), failstopped_.end());
+  honest_short_ = live;
 
   // The serial engine's one lane; a windowed run replaces it in run().
   lanes_.push_back(std::make_unique<Lane>());
@@ -223,12 +225,13 @@ Controller::Controller(SimConfig cfg)
   if (cfg_.faults.enabled()) {
     faults_ = std::make_unique<FaultInjector>(cfg_.faults, cfg_.n,
                                               run_rng_.fork(0x666c74));  // "flt"
+    // The timeline is sorted by time; the run applies its prefix within
+    // the horizon (apply_next_fault).
     const auto& timeline = faults_->events();
-    for (std::size_t i = 0; i < timeline.size(); ++i) {
-      if (timeline[i].at > horizon_) continue;
-      serial.queue.push(timeline[i].at, TimerFire{TimerOwner::kFault, kNoNode,
-                                                  serial.next_timer_id++, i});
-    }
+    const auto past_horizon = std::partition_point(
+        timeline.begin(), timeline.end(),
+        [this](const FaultEvent& e) { return e.at <= horizon_; });
+    fault_end_ = static_cast<std::size_t>(past_horizon - timeline.begin());
   }
 
   // WAN transport backend. Like the fault RNG, the overlay RNG is forked
@@ -725,7 +728,6 @@ void Controller::report_decision(Lane& ln, NodeId node, Value value) {
     emit(ln, TraceRecord{TraceKind::kDecide, ln.now, node, kNoNode, {}, 0, 0,
                          d.height, value});
   }
-  if (!lane_mode_) check_termination();
 }
 
 void Controller::settle_decision(const Decision& d) {
@@ -734,6 +736,7 @@ void Controller::settle_decision(const Decision& d) {
   BFTSIM_LOG(kDebug, "node " << d.node << " decided height " << d.height
                              << " value " << d.value << " at " << to_ms(d.at)
                              << "ms");
+  if (d.height + 1 == cfg_.decisions && is_honest(d.node)) count_off(d.at);
 }
 
 void Controller::record_view(Lane& ln, NodeId node, View view) {
@@ -766,18 +769,14 @@ bool Controller::corrupt(NodeId node) {
   }
   BFTSIM_LOG(kInfo, "attacker corrupted node " << node << " at "
                                                << to_ms(now()) << "ms");
-  check_termination();
+  // A live node corrupted short of the target no longer holds the run up.
+  if (is_live(node) && decided_count_[node] < cfg_.decisions) count_off(now());
   return true;
 }
 
-void Controller::check_termination() {
-  if (stopped_) return;
-  for (NodeId i = 0; i < cfg_.n; ++i) {
-    if (!is_honest(i)) continue;
-    if (decided_count_[i] < cfg_.decisions) return;
-  }
-  stopped_ = true;
-  termination_time_ = now();
+void Controller::count_off(Time at) {
+  assert(honest_short_ > 0);
+  if (--honest_short_ == 0) termination_time_ = at;
 }
 
 bool Controller::is_live(NodeId id) const noexcept {
@@ -841,12 +840,11 @@ void Controller::dispatch(Lane& ln, Event& ev) {
   const auto& fire = std::get<TimerFire>(ev.body);
   if (ln.queue.consume_cancellation(fire.timer)) return;
   // A crashed node's timers are suspended, not lost: the fire is deferred
-  // to the recovery instant. On the serial engine the kRecover fault timer
-  // carries an earlier sequence number, so at that tie the node is already
-  // back up; on the lane engine the recovery lands at a window barrier
-  // before that instant's window executes, and the fire keeps its key.
-  // Dropping them instead could leave a recovered node with no pending
-  // timers — a guaranteed deadlock.
+  // to the recovery instant. Both loops apply a transition before any
+  // event at its instant, so when the deferred fire pops the node is back
+  // up (on the lane engine the fire keeps its key). Dropping them instead
+  // could leave a recovered node with no pending timers — a guaranteed
+  // deadlock.
   if (faults_ != nullptr && fire.owner == TimerOwner::kNode &&
       faults_->is_crashed(fire.node)) {
     push_timer(ln, faults_->recovery_time(fire.node), ev.seq, fire);
@@ -869,12 +867,22 @@ void Controller::dispatch(Lane& ln, Event& ev) {
     case TimerOwner::kSystem:
       on_system_event(fire.tag);
       break;
-    case TimerOwner::kFault: {
-      BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kFaultHook);
-      faults_->apply(fire.tag);
-      break;
-    }
   }
+}
+
+Time Controller::next_fault_at() const noexcept {
+  return fault_next_ < fault_end_ ? faults_->events()[fault_next_].at
+                                  : std::numeric_limits<Time>::max();
+}
+
+bool Controller::apply_next_fault() {
+  metrics_.on_event();
+  if (metrics_.events_processed() > cfg_.max_events) return false;
+  metrics_.on_timer();
+  BFTSIM_PROFILE_SCOPE(lanes_.front()->profile,
+                       obs::ProfileComponent::kFaultHook);
+  faults_->apply(fault_next_++);
+  return true;
 }
 
 RunResult Controller::run() {
@@ -928,11 +936,29 @@ RunResult Controller::run() {
   }
 
   start();
-  check_termination();  // degenerate configs (decisions == 0 is rejected)
 
   Lane& ln = *lanes_.front();
+  // Timeline sampling: reads engine counters only (no events, no RNG), so
+  // a sampled run stays bit-identical to an unsampled one.
+  const auto advance = [this, &ln](Time at) {
+    ln.now = at;
+    if (timeline_ != nullptr && ln.now >= timeline_->next_sample_at()) {
+      sample_timeline(/*final_sample=*/false);
+    }
+  };
   TerminationReason reason = TerminationReason::kQueueDrained;
-  while (!stopped_ && !ln.queue.empty()) {
+  while (!decided()) {
+    // Every transition due by the next event's instant applies first.
+    if (fault_next_ < fault_end_ &&
+        (ln.queue.empty() || next_fault_at() <= ln.queue.next_time())) {
+      advance(next_fault_at());
+      if (!apply_next_fault()) {
+        reason = TerminationReason::kEventBudget;
+        break;
+      }
+      continue;
+    }
+    if (ln.queue.empty()) break;
     Event ev = [&] {
       BFTSIM_PROFILE_SCOPE(ln.profile, obs::ProfileComponent::kEventPop);
       return ln.queue.pop();
@@ -942,12 +968,7 @@ RunResult Controller::run() {
       reason = TerminationReason::kHorizon;
       break;
     }
-    ln.now = ev.at;
-    // Timeline sampling: reads engine counters only (no events, no RNG), so
-    // a sampled run stays bit-identical to an unsampled one.
-    if (timeline_ != nullptr && ln.now >= timeline_->next_sample_at()) {
-      sample_timeline(/*final_sample=*/false);
-    }
+    advance(ev.at);
     metrics_.on_event();
     if (metrics_.events_processed() > cfg_.max_events) {
       reason = TerminationReason::kEventBudget;
@@ -955,13 +976,13 @@ RunResult Controller::run() {
     }
     dispatch(ln, ev);
   }
-  if (stopped_) reason = TerminationReason::kDecided;
+  if (decided()) reason = TerminationReason::kDecided;
   return make_result(reason);
 }
 
 RunResult Controller::make_result(TerminationReason reason) {
   RunResult result;
-  result.terminated = stopped_;
+  result.terminated = decided();
   result.termination_time = termination_time_;
   result.termination_reason = reason;
   result.decisions_target = cfg_.decisions;
@@ -993,7 +1014,7 @@ RunResult Controller::make_result(TerminationReason reason) {
     // non-decided outcome — a config constant, so the measured span is
     // identical whichever engine executed the run.
     result.workload =
-        workload_->finalize(stopped_ ? termination_time_ : horizon_);
+        workload_->finalize(decided() ? termination_time_ : horizon_);
   }
   if (trace_sink_ != nullptr) {
     trace_sink_->flush();  // throws when a streaming sink's storage failed

@@ -160,10 +160,19 @@ class Controller {
   void settle_decision(const Decision& d);
   void record_view(Lane& ln, NodeId node, View view);
   bool corrupt(NodeId node);
-  void check_termination();
+  /// Counts one honest node off honest_short_; the last stops the run,
+  /// at `at`.
+  void count_off(Time at);
 
   // --- run loop ---------------------------------------------------------------
   void dispatch(Lane& ln, Event& ev);
+  /// The instant of the fault timeline's next transition within the
+  /// horizon; the largest Time once none is left.
+  [[nodiscard]] Time next_fault_at() const noexcept;
+  /// Applies the next fault transition as one event and one timer firing.
+  /// Both loops call it before any event at that transition's instant.
+  /// Returns false, applying nothing, when the event exceeds the budget.
+  [[nodiscard]] bool apply_next_fault();
   /// Assembles the RunResult from the run's final state; shared by the
   /// serial loop and the windowed-parallel driver.
   RunResult make_result(TerminationReason reason);
@@ -181,6 +190,7 @@ class Controller {
   [[nodiscard]] bool is_corrupt(NodeId id) const noexcept {
     return id < corrupt_flags_.size() && corrupt_flags_[id] != 0;
   }
+  [[nodiscard]] bool decided() const noexcept { return honest_short_ == 0; }
 
   // Lane-engine ordering keys: (origin + 1) << 40 | per-origin counter.
   // Origin slot 0 is reserved (nothing queues under it; global artifacts
@@ -215,8 +225,15 @@ class Controller {
   Time lambda_ = 0;           ///< cfg.lambda_ms in Time units
   Time horizon_ = 0;          ///< cfg.max_time_ms in Time units
 
-  bool stopped_ = false;
+  /// Honest nodes still short of the decision target. It starts at the
+  /// live-node count; settle_decision and corrupt() count nodes off, and
+  /// the run stops, decided, when it reaches 0.
+  std::uint32_t honest_short_ = 0;
   Time termination_time_ = kNoTime;
+  /// The fault timeline's cursor: the next transition to apply, and the
+  /// end of the prefix within the horizon (both 0 on fault-free runs).
+  std::size_t fault_next_ = 0;
+  std::size_t fault_end_ = 0;
   /// The run's mode, chosen once in run(): true when it executes on the
   /// windowed lane engine (per-origin keys, draws keyed by message id,
   /// products buffered per lane), false on the serial engine (insertion

@@ -1,18 +1,14 @@
 // Windowed-parallel run driver. See windowed.hpp for the scheme and the
-// determinism argument. Only scheduling lives here: the lane partition,
-// the window/barrier loop, fault transitions and the product merge. Every
-// event runs through the controller's one per-event path.
+// determinism argument. Only scheduling lives here: the lookahead, the
+// lane partition, the window/barrier loop and the product merge. Every
+// event, fault transition and decision runs through the controller.
 #include "sim/windowed.hpp"
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
-#include "core/log.hpp"
-#include "faults/fault_injector.hpp"
 #include "sim/controller.hpp"
-#include "workload/workload_manager.hpp"
 
 namespace bftsim {
 
@@ -108,8 +104,7 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
   lanes_n_ = effective_lanes(cfg);
   lookahead_ = compute_lookahead(cfg);
 
-  // One lane per partition replaces the serial lane, whose queue holds only
-  // the fault timeline's timers — this driver applies those at barriers.
+  // One lane per partition replaces the serial lane, whose queue is empty.
   c_.lanes_.clear();
   for (std::uint32_t l = 0; l < lanes_n_; ++l) {
     auto lane = std::make_unique<Lane>();
@@ -125,19 +120,6 @@ WindowedEngine::WindowedEngine(Controller& c) : c_(c) {
     c_.lanes_.push_back(std::move(lane));
   }
   for (NodeId i = 0; i < cfg.n; ++i) c_.bind_lane(i, *c_.lanes_[i % lanes_n_]);
-
-  if (c_.faults_ != nullptr) {
-    // The timeline is sorted by time; the prefix within the horizon is the
-    // exact set the serial engine schedules as kFault timers.
-    const auto& timeline = c_.faults_->events();
-    while (fault_count_ < timeline.size() &&
-           timeline[fault_count_].at <= c_.horizon_) {
-      ++fault_count_;
-    }
-  }
-  for (NodeId i = 0; i < cfg.n; ++i) {
-    if (c_.is_live(i)) ++honest_total_;
-  }
   if (lanes_n_ > 1) pool_ = std::make_unique<ThreadPool>(lanes_n_);
 }
 
@@ -175,21 +157,6 @@ void WindowedEngine::receive(Lane& ln) {
   }
 }
 
-bool WindowedEngine::apply_faults_at(Time w0) {
-  if (c_.faults_ == nullptr) return true;
-  const auto& timeline = c_.faults_->events();
-  while (fault_cursor_ < fault_count_ && timeline[fault_cursor_].at == w0) {
-    // Mirrors the serial engine's dispatch of a kFault timer: one event,
-    // one timer firing, then the transition.
-    c_.metrics_.on_event();
-    if (c_.metrics_.events_processed() > c_.cfg_.max_events) return false;
-    c_.metrics_.on_timer();
-    c_.faults_->apply(fault_cursor_);
-    ++fault_cursor_;
-  }
-  return true;
-}
-
 bool WindowedEngine::merge_window() {
   auto& lanes = c_.lanes_;
   // 1. Hand payload blocks released on other lanes back to their arenas.
@@ -220,19 +187,11 @@ bool WindowedEngine::merge_window() {
       c_.trace_sink_->on_record(p.item);
     }
   }
+  // Decisions settle here in merged (at, key) order, so the workload's
+  // request latencies and the termination instant are lane-count-invariant
+  // like every other product.
   for (const auto& p : merged(lanes, &Lane::decisions)) {
-    // The workload decide hook runs here in merged (at, key) order, so
-    // request-level latencies are lane-count-invariant like every other
-    // product.
-    const Decision& d = p.item;
-    c_.settle_decision(d);
-    if (d.height + 1 == c_.cfg_.decisions && c_.is_honest(d.node)) {
-      ++nodes_done_;
-      if (nodes_done_ == honest_total_ && !c_.stopped_) {
-        c_.stopped_ = true;
-        c_.termination_time_ = d.at;
-      }
-    }
+    c_.settle_decision(p.item);
   }
   for (const auto& p : merged(lanes, &Lane::views)) c_.metrics_.on_view(p.item);
   return c_.metrics_.events_processed() <= c_.cfg_.max_events;
@@ -243,9 +202,6 @@ bool WindowedEngine::merge_window() {
 // ---------------------------------------------------------------------------
 
 RunResult WindowedEngine::run() {
-  if (ran_) throw std::logic_error("WindowedEngine::run() called twice");
-  ran_ = true;
-
   // Start phase: on_start callbacks in node order, exactly like the serial
   // engine; sends route through the same mailboxes as window sends.
   c_.start();
@@ -255,23 +211,24 @@ RunResult WindowedEngine::run() {
   if (!within_budget) reason = TerminationReason::kEventBudget;
   std::uint64_t windows_parallel = 0;
   std::uint64_t windows_inline = 0;
-  while (within_budget && !c_.stopped_) {
+  while (within_budget && !c_.decided()) {
     // W0: the earliest pending instant across every lane and the fault
-    // timeline — the same instant the serial engine would pop next.
+    // timeline — the same instant the serial engine would reach next.
     constexpr Time kNone = std::numeric_limits<Time>::max();
-    Time w0 = kNone;
+    Time w0 = c_.next_fault_at();
     for (const auto& lp : c_.lanes_) {
       if (!lp->queue.empty()) w0 = std::min(w0, lp->queue.next_time());
-    }
-    if (c_.faults_ != nullptr && fault_cursor_ < fault_count_) {
-      w0 = std::min(w0, c_.faults_->events()[fault_cursor_].at);
     }
     if (w0 == kNone) break;  // kQueueDrained
     if (w0 > c_.horizon_) {
       reason = TerminationReason::kHorizon;
       break;
     }
-    if (!apply_faults_at(w0)) {
+    // Transitions at W0 apply before any event at W0, as on the serial loop.
+    while (within_budget && c_.next_fault_at() == w0) {
+      within_budget = c_.apply_next_fault();
+    }
+    if (!within_budget) {
       reason = TerminationReason::kEventBudget;
       break;
     }
@@ -280,11 +237,8 @@ RunResult WindowedEngine::run() {
     // next fault transition (fault state is frozen inside a window) and at
     // the horizon. The formula never reads lane state, so the window
     // sequence is identical for every lane count — the determinism anchor.
-    Time w1 = w0 + std::max<Time>(lookahead_, 1);
-    if (c_.faults_ != nullptr && fault_cursor_ < fault_count_) {
-      w1 = std::min(w1, c_.faults_->events()[fault_cursor_].at);
-    }
-    w1 = std::min(w1, c_.horizon_ + 1);
+    const Time w1 = std::min({w0 + std::max<Time>(lookahead_, 1),
+                              c_.next_fault_at(), c_.horizon_ + 1});
 
     // The event budget is checked at barriers, so a window that crosses
     // it runs to its end and the run stops with every lane count at the
@@ -293,9 +247,9 @@ RunResult WindowedEngine::run() {
     std::uint64_t cap = c_.cfg_.max_events + 1;
     // Zero-lookahead runs (always a single lane) deliver same-instant
     // messages into the window being executed, so a protocol that keeps
-    // talking after its last decision never drains the instant — and the
-    // termination check only runs at barriers. The serial engine stops
-    // mid-instant at its inline check; with no parallelism at stake, match
+    // talking after its last decision never drains the instant — and
+    // decisions settle only at barriers. The serial engine stops
+    // mid-instant, settling inline; with no parallelism at stake, match
     // that cadence by forcing a barrier every few thousand events. The
     // quota is a constant, so the event sequence stays deterministic.
     if (lookahead_ <= 0) cap = std::min<std::uint64_t>(cap, 4096);
@@ -313,7 +267,7 @@ RunResult WindowedEngine::run() {
     within_budget = merge_window();
     if (!within_budget) reason = TerminationReason::kEventBudget;
   }
-  if (c_.stopped_) reason = TerminationReason::kDecided;
+  if (c_.decided()) reason = TerminationReason::kDecided;
   RunResult result = c_.make_result(reason);
   result.profile.windows_parallel = windows_parallel;
   result.profile.windows_inline = windows_inline;

@@ -33,8 +33,10 @@
 // Windowed runs therefore have their own goldens;
 // `engine.intra_jobs = 1` with `engine.rng = "per_node"` is the one-lane
 // baseline those goldens pin. This driver holds only the window logic:
-// the lookahead, the lane partition, the barrier loop, fault transitions
-// and the merge. See docs/PARALLELISM.md for the full argument.
+// the lookahead, the lane partition, the barrier loop and the merge. Fault
+// transitions (applied at W0 by the controller's routine, before any event
+// at W0) and the termination count are the controller's, shared with the
+// serial loop. See docs/PARALLELISM.md for the full argument.
 #pragma once
 
 #include <cstdint>
@@ -72,19 +74,16 @@ class WindowedEngine {
   WindowedEngine& operator=(const WindowedEngine&) = delete;
   ~WindowedEngine();
 
-  /// Runs the simulation to termination; call at most once.
+  /// Runs the simulation to termination (Controller::run calls it once).
   [[nodiscard]] RunResult run();
 
  private:
   void run_window(Lane& ln, Time w1, std::uint64_t event_cap);
-  /// Applies fault transitions scheduled exactly at `w0`; returns false
-  /// when the event budget was exhausted mid-application.
-  [[nodiscard]] bool apply_faults_at(Time w0);
   /// Expands and interns what the lanes posted for `ln` (barrier step).
   void receive(Lane& ln);
   /// Drains outboxes and merges window products into the controller's
-  /// metrics/sink; returns false when the event budget is exhausted. Sets
-  /// stopped_/termination on the completing decision.
+  /// metrics/sink, settling decisions in merged order; returns false when
+  /// the event budget is exhausted.
   [[nodiscard]] bool merge_window();
 
   /// A window runs its lanes inline on the driver thread, not on the
@@ -101,13 +100,8 @@ class WindowedEngine {
   Controller& c_;
   std::uint32_t lanes_n_ = 1;
   Time lookahead_ = 0;
-  std::size_t fault_cursor_ = 0;     ///< next unapplied fault-timeline index
-  std::size_t fault_count_ = 0;      ///< timeline entries within the horizon
-  std::uint64_t honest_total_ = 0;   ///< live honest nodes (fixed: no attacker)
-  std::uint64_t nodes_done_ = 0;     ///< honest nodes at the decision target
   std::uint64_t window_work_ = 0;    ///< last window: events + copies sent
   std::unique_ptr<ThreadPool> pool_;  ///< non-null only when lanes_n_ > 1
-  bool ran_ = false;
 };
 
 }  // namespace bftsim

@@ -244,10 +244,9 @@ TEST(EngineConfigTest, RoundTripsThroughConfigJson) {
 
 TEST(EngineConfigTest, AutoModeSelectsPerNodeRngOnlyWhenParallel) {
   EngineConfig engine;
+  EXPECT_FALSE(engine.per_node_rng());
   engine.intra_jobs = 2;
   EXPECT_TRUE(engine.per_node_rng());
-  engine.rng = EngineConfig::RngMode::kStream;
-  EXPECT_FALSE(engine.per_node_rng());
 }
 
 TEST(StrictEngineConfigTest, UnknownKeysAndModesNamePath) {
@@ -263,12 +262,12 @@ TEST(StrictEngineConfigTest, UnknownKeysAndModesNamePath) {
             std::string::npos);
 }
 
-TEST(StrictEngineConfigTest, StreamRngIsSerialOnly) {
-  EXPECT_NE(
-      error_of(R"({"engine": {"intra_jobs": 2, "rng": "stream"}})")
-          .find("serial-only"),
-      std::string::npos);
-  EXPECT_EQ(error_of(R"({"engine": {"intra_jobs": 1, "rng": "stream"}})"), "");
+TEST(StrictEngineConfigTest, StreamRngNamesItsRemoval) {
+  const std::string error =
+      error_of(R"({"engine": {"intra_jobs": 1, "rng": "stream"}})");
+  EXPECT_NE(error.find("$.engine.rng"), std::string::npos) << error;
+  EXPECT_NE(error.find("removed"), std::string::npos) << error;
+  EXPECT_NE(error.find("\"auto\""), std::string::npos) << error;
 }
 
 TEST(StrictEngineConfigTest, WindowedModeExcludesTimelineButNotAttacks) {

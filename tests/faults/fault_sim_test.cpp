@@ -151,6 +151,63 @@ TEST(CrashRecover, PbftCatchesUpOnLongOutageInOrder) {
   EXPECT_GE(longest_burst, kMissedAtLeast);
 }
 
+// --- same-instant ordering ------------------------------------------------
+
+// A fault transition at instant t applies before any event at t, on the
+// serial engine and on the lane engine alike. Constant delays put events
+// exactly on the transitions: the leader's pre-prepare reaches node 1 at
+// 100 ms, the instant node 1 crashes, and node 1's view timer (armed at 0
+// for 6 lambda = 600 ms) is deferred to its recovery at 1100 ms.
+class SameInstantFault : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(SameInstantFault, TransitionAppliesBeforeEventsAtItsInstant) {
+  constexpr NodeId kNode = 1;
+  constexpr Time kCrashAt = 100'000;
+  constexpr Time kRecoverAt = 1'100'000;
+  SimConfig cfg = base_config("pbft", 4, 7);
+  cfg.lambda_ms = 100;
+  cfg.delay = DelaySpec::constant(100);
+  cfg.decisions = 3;
+  cfg.record_trace = true;
+  // Re-deferring a fire to the instant it pops would spin; fail fast.
+  cfg.max_events = 100'000;
+  cfg.faults.crashes.push_back({kNode, to_ms(kCrashAt), 1000.0});
+  if (GetParam() > 0) {  // the lane engine, on this many lanes
+    cfg.engine.intra_jobs = GetParam();
+    cfg.engine.rng = EngineConfig::RngMode::kPerNode;
+  }
+
+  const RunResult result = run_simulation(cfg);
+  EXPECT_TRUE(result.terminated) << to_string(result.termination_reason);
+  std::uint64_t drops = 0;
+  bool pre_prepare_dropped = false;
+  bool view_change_sent = false;
+  for (const TraceRecord& r : result.trace.records()) {
+    if (r.kind == TraceKind::kDrop) ++drops;
+    if (r.at == kCrashAt && r.b == kNode && r.type == "pbft/pre-prepare") {
+      EXPECT_NE(r.kind, TraceKind::kDeliver) << "delivered to a crashed node";
+      if (r.kind == TraceKind::kDrop) pre_prepare_dropped = true;
+    }
+    if (r.at == kRecoverAt && r.kind == TraceKind::kSend && r.a == kNode &&
+        r.type == "pbft/view-change") {
+      view_change_sent = true;
+    }
+  }
+  EXPECT_TRUE(pre_prepare_dropped);
+  EXPECT_EQ(result.messages_dropped, drops);
+  // The deferred view timer ran at the recovery instant: node 1 asked for
+  // a view change then.
+  EXPECT_TRUE(view_change_sent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, SameInstantFault,
+                         ::testing::Values(0u, 1u, 4u),
+                         [](const auto& info) {
+                           return info.param == 0
+                                      ? std::string("serial")
+                                      : "lanes" + std::to_string(info.param);
+                         });
+
 // --- link flaps ------------------------------------------------------------
 
 TEST(LinkFlap, PairwisePartitionDropsTrafficAndHeals) {

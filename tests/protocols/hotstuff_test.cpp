@@ -90,7 +90,9 @@ TEST(HotStuffNsTest, DecisionHeightsAreSequential) {
   for (const NodeId node : result.honest) {
     std::uint64_t next = 0;
     for (const Decision& d : result.decisions) {
-      if (d.node == node) EXPECT_EQ(d.height, next++);
+      if (d.node == node) {
+        EXPECT_EQ(d.height, next++);
+      }
     }
     EXPECT_GE(next, 10u);
   }
@@ -112,7 +114,9 @@ TEST(HotStuffNsTest, ViewsAreRecorded) {
   std::map<NodeId, View> last;
   for (const ViewRecord& v : result.views) {
     const auto it = last.find(v.node);
-    if (it != last.end()) EXPECT_GE(v.view, it->second);
+    if (it != last.end()) {
+      EXPECT_GE(v.view, it->second);
+    }
     last[v.node] = v.view;
   }
 }

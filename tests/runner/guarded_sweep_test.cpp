@@ -1,6 +1,6 @@
 // run_sweep_guarded: per-run exception isolation (RunFailure records with
 // config + seed), watchdog budgets (termination_reason tallies), and
-// equivalence with run_sweep when nothing fails.
+// equivalence with run_repeated when nothing fails.
 #include <gtest/gtest.h>
 
 #include "runner/export.hpp"
@@ -89,17 +89,18 @@ TEST(GuardedSweep, WatchdogOnlyTightens) {
   EXPECT_EQ(capped.max_time_ms, cfg.max_time_ms);
 }
 
-TEST(GuardedSweep, CleanSweepMatchesRunSweep) {
+TEST(GuardedSweep, CleanSweepMatchesRunRepeated) {
   std::vector<SimConfig> points;
   points.push_back(small_config("pbft", 1));
   points.push_back(small_config("hotstuff-ns", 5));
 
-  const std::vector<Aggregate> plain = run_sweep(points, 3, 2);
   const SweepOutcome guarded = run_sweep_guarded(points, 3, 2);
   ASSERT_TRUE(guarded.ok());
-  ASSERT_EQ(guarded.points.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_TRUE(equivalent(plain[i], guarded.points[i].aggregate)) << "point " << i;
+  ASSERT_EQ(guarded.points.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_TRUE(equivalent(run_repeated(points[i], 3),
+                           guarded.points[i].aggregate))
+        << "point " << i;
     EXPECT_EQ(guarded.points[i].tally.decided, 3u);
   }
 }

@@ -39,7 +39,7 @@ TEST(ParallelRunnerTest, IdenticalAggregatesAcrossJobCounts) {
   cfg.seed = 7;
   const Aggregate serial = run_repeated(cfg, 12);
   for (const std::size_t jobs : {1u, 2u, 4u}) {
-    const Aggregate parallel = run_repeated_parallel(cfg, 12, jobs);
+    const Aggregate parallel = run_repeated(cfg, 12, jobs);
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     expect_aggregates_identical(serial, parallel);
   }
@@ -50,28 +50,28 @@ TEST(ParallelRunnerTest, IdenticalForPipelinedProtocol) {
       experiment_config("hotstuff-ns", 8, 1000, DelaySpec::normal(250, 50));
   cfg.seed = 3;
   expect_aggregates_identical(run_repeated(cfg, 8),
-                              run_repeated_parallel(cfg, 8, 4));
+                              run_repeated(cfg, 8, 4));
 }
 
 TEST(ParallelRunnerTest, IdenticalWhenRunsTimeOut) {
   SimConfig cfg = experiment_config("pbft", 8, 1000, DelaySpec::normal(250, 50));
   cfg.max_time_ms = 0.5;  // nothing decides: every run times out
   const Aggregate serial = run_repeated(cfg, 6);
-  const Aggregate parallel = run_repeated_parallel(cfg, 6, 3);
+  const Aggregate parallel = run_repeated(cfg, 6, 3);
   EXPECT_EQ(serial.timeouts, 6u);
   expect_aggregates_identical(serial, parallel);
 }
 
 TEST(ParallelRunnerTest, ParallelRunIsRepeatable) {
   SimConfig cfg = experiment_config("pbft", 8, 1000, DelaySpec::normal(250, 50));
-  expect_aggregates_identical(run_repeated_parallel(cfg, 10, 4),
-                              run_repeated_parallel(cfg, 10, 4));
+  expect_aggregates_identical(run_repeated(cfg, 10, 4),
+                              run_repeated(cfg, 10, 4));
 }
 
 TEST(ParallelRunnerTest, InvalidConfigPropagatesFromWorkers) {
   SimConfig cfg;
   cfg.protocol = "no-such-protocol";
-  EXPECT_THROW((void)run_repeated_parallel(cfg, 4, 2), std::invalid_argument);
+  EXPECT_THROW((void)run_repeated(cfg, 4, 2), std::invalid_argument);
 }
 
 TEST(ParallelRunnerTest, SweepMatchesPerPointRunRepeated) {
@@ -83,11 +83,13 @@ TEST(ParallelRunnerTest, SweepMatchesPerPointRunRepeated) {
       experiment_config("pbft", 8, 1000, DelaySpec::normal(500, 100)));
   points[2].seed = 11;
 
-  const std::vector<Aggregate> sweep = run_sweep(points, 6, 4);
-  ASSERT_EQ(sweep.size(), points.size());
+  const SweepOutcome sweep = run_sweep_guarded(points, 6, 4);
+  ASSERT_TRUE(sweep.ok());
+  ASSERT_EQ(sweep.points.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     SCOPED_TRACE("point " + std::to_string(i));
-    expect_aggregates_identical(run_repeated(points[i], 6), sweep[i]);
+    expect_aggregates_identical(run_repeated(points[i], 6),
+                                sweep.points[i].aggregate);
   }
 }
 

@@ -95,7 +95,9 @@ TEST(ScaleSmoke, Hotstuff1024CompletesAndAgrees) {
   ASSERT_FALSE(result.decisions.empty());
   const Value decided = result.decisions.front().value;
   for (const Decision& d : result.decisions) {
-    if (d.height == 0) EXPECT_EQ(d.value, decided);
+    if (d.height == 0) {
+      EXPECT_EQ(d.value, decided);
+    }
   }
 }
 

@@ -503,8 +503,8 @@ TEST(WanDeterminismTest, ReportsAreByteIdenticalAcrossJobCounts) {
   SimConfig cfg = full_wan_config();
   cfg.record_trace = false;
   const Aggregate serial = run_repeated(cfg, 4);
-  const Aggregate jobs2 = run_repeated_parallel(cfg, 4, 2);
-  const Aggregate jobs4 = run_repeated_parallel(cfg, 4, 4);
+  const Aggregate jobs2 = run_repeated(cfg, 4, 2);
+  const Aggregate jobs4 = run_repeated(cfg, 4, 4);
   EXPECT_TRUE(equivalent(serial, jobs2));
   EXPECT_TRUE(equivalent(serial, jobs4));
   EXPECT_EQ(deterministic_report(serial), deterministic_report(jobs2));

@@ -150,7 +150,7 @@ TEST(WorkloadDeterminismTest, ReportsAreByteIdenticalAcrossJobCounts) {
   // aggregates must not depend on the worker count.
   const SimConfig cfg = open_loop_config("hotstuff-ns", 8, 400.0);
   const Aggregate serial = run_repeated(cfg, 4);
-  const Aggregate jobs4 = run_repeated_parallel(cfg, 4, 4);
+  const Aggregate jobs4 = run_repeated(cfg, 4, 4);
   EXPECT_TRUE(equivalent(serial, jobs4));
   EXPECT_EQ(deterministic_report(serial), deterministic_report(jobs4));
   EXPECT_GT(serial.workload_decided, 0u);
@@ -166,7 +166,7 @@ TEST(WorkloadDeterminismTest, ClosedLoopAggregatesMatchAcrossJobCounts) {
   cfg.workload.window = 2;
   cfg.workload.think_ms = 50.0;
   const Aggregate serial = run_repeated(cfg, 3);
-  const Aggregate jobs3 = run_repeated_parallel(cfg, 3, 3);
+  const Aggregate jobs3 = run_repeated(cfg, 3, 3);
   EXPECT_TRUE(equivalent(serial, jobs3));
   EXPECT_EQ(deterministic_report(serial), deterministic_report(jobs3));
 }
