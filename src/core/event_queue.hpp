@@ -345,7 +345,7 @@ class EventQueue {
 
  private:
   enum : std::uint8_t {
-    kIdle = 0,
+    kIdle = 0,  ///< must stay 0: mark_pending grows the ledger zero-filled
     kPending = 1,
     kCancelled = 2,         ///< fire event queued, tombstoned
     kPoppedCancelled = 3,   ///< fire event popped, awaiting consume_cancellation
@@ -499,7 +499,7 @@ class EventQueue {
       // amortized cost of the one-byte-per-timer ledger negligible.
       std::size_t grown = timer_state_.empty() ? 64 : timer_state_.size() * 2;
       if (grown < id + 1) grown = id + 1;
-      timer_state_.resize(grown, kIdle);
+      timer_state_.resize(grown);  // value-initialised, i.e. kIdle
     }
     if (timer_state_[id] != kPending) {
       if (timer_state_[id] == kCancelled) --tombstones_;

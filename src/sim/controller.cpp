@@ -11,6 +11,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "attacker/attacks.hpp"
 #include "core/log.hpp"
@@ -240,7 +241,6 @@ Controller::Controller(SimConfig cfg)
   if (cfg_.net.enabled()) {
     wan_ = std::make_unique<WanModel>(cfg_.net, cfg_.n,
                                       run_rng_.fork(0x77616e));  // "wan"
-    if (wan_->gossip()) gossip_seen_.resize(cfg_.n);
   }
 
   // Client workload generator. Like the fault and WAN RNGs, the workload
@@ -330,7 +330,8 @@ void Controller::broadcast(Lane& ln, NodeId src, PayloadPtr payload,
   if (wan_ != nullptr && wan_->gossip()) {
     // Gossip origination: the origin sends to its overlay peers only.
     tx.gossip_id = next_gossip_id_++;
-    gossip_seen_[src].insert(tx.gossip_id);  // never re-deliver to the origin
+    gossip_seen_.resize((tx.gossip_id * cfg_.n + 63) / 64);
+    mark_gossip_seen(src, tx.gossip_id);  // never re-deliver to the origin
     for (const NodeId peer : wan_->peers_of(src)) send_copy(ln, tx, src, peer);
   } else if (!attacker_passive_ || custom_delivery_hook_) {
     for (NodeId dst = 0; dst < cfg_.n; ++dst) {
@@ -598,7 +599,7 @@ void Controller::gossip_deliver(const Message& msg, std::uint64_t gid) {
     return;
   }
   Lane& ln = lane_for(msg.dst);
-  if (!gossip_seen_[msg.dst].insert(gid).second) {
+  if (!mark_gossip_seen(msg.dst, gid)) {
     ln.metrics->on_drop();
     ln.metrics->on_gossip_duplicate();
     trace_message(ln, TraceKind::kDrop, msg);
@@ -620,6 +621,15 @@ void Controller::gossip_deliver(const Message& msg, std::uint64_t gid) {
     }
   }
   deliver_now(msg);
+}
+
+bool Controller::mark_gossip_seen(NodeId node, std::uint64_t gid) {
+  const std::uint64_t bit = (gid - 1) * cfg_.n + node;
+  std::uint64_t& word = gossip_seen_[bit >> 6];
+  const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+  if ((word & mask) != 0) return false;
+  word |= mask;
+  return true;
 }
 
 void Controller::schedule_network_delivery(Message msg, Time delay) {

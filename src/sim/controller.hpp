@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "attacker/attacker.hpp"
@@ -142,6 +141,8 @@ class Controller {
   /// Duplicate suppression + relay fan-out on gossip arrival, then the
   /// shared deliver_now step.
   void gossip_deliver(const Message& msg, std::uint64_t gid);
+  /// Marks gossip `gid` accepted at `node`; false if it already was.
+  bool mark_gossip_seen(NodeId node, std::uint64_t gid);
 
   // --- timers ---------------------------------------------------------------
   TimerId set_timer(Lane& ln, TimerOwner owner, NodeId node, Time delay,
@@ -275,9 +276,11 @@ class Controller {
   /// Client workload generator; nullptr unless cfg.workload is enabled, so
   /// workload-free proposals cost one null check in next_proposal.
   std::unique_ptr<WorkloadManager> workload_;
-  /// Per-node sets of gossip ids already accepted (duplicate suppression);
-  /// sized only under the gossip backend.
-  std::vector<std::unordered_set<std::uint64_t>> gossip_seen_;
+  /// Gossip duplicate suppression: n bits per gossip id, bit
+  /// (gid - 1) * n + node set once `node` has accepted gossip `gid`. Ids are
+  /// dense from 1, so the bitset grows by n bits per gossip broadcast; it
+  /// stays empty unless the gossip backend is selected.
+  std::vector<std::uint64_t> gossip_seen_;
   std::uint64_t next_gossip_id_ = 1;
 
   // Computation-cost model state: per-node CPU availability (the set of

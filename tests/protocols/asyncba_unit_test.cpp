@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/mock_context.hpp"
 
 namespace bftsim::asyncba {
@@ -167,6 +170,74 @@ TEST(AsyncBaUnitTest, BottomStep3LocksWithoutDeciding) {
   EXPECT_EQ(inits.back()->value, 1u);  // adopted the f+1 value
 }
 
+TEST(AsyncBaUnitTest, EchoesOfASecondValueTallySeparately) {
+  Fixture fx;
+  // Four echoes of 1 for origin 6, then echoes of 0 from an overlapping set:
+  // each value keeps its own voters, and a repeated vote counts once.
+  for (const NodeId src : {1u, 2u, 3u, 4u}) fx.deliver_echo(src, 6, 1);
+  for (const NodeId src : {1u, 2u, 3u, 3u, 4u}) fx.deliver_echo(src, 6, 0);
+  EXPECT_TRUE(fx.ctx.sent_of<BrachaReady>().empty());
+  fx.deliver_echo(5, 6, 0);  // 5th distinct echo of 0
+  ASSERT_EQ(fx.ctx.sent_of<BrachaReady>().size(), 1u);
+  EXPECT_EQ(fx.ctx.sent_of<BrachaReady>()[0]->value, 0u);
+  fx.deliver_echo(5, 6, 1);  // 5th echo of 1: the ready already went out
+  EXPECT_EQ(fx.ctx.sent_of<BrachaReady>().size(), 1u);
+}
+
+TEST(AsyncBaUnitTest, IgnoresOriginAtOrAboveN) {
+  Fixture fx;
+  for (const NodeId src : {0u, 1u, 2u, 3u, 4u}) fx.deliver_echo(src, kN, 1);
+  for (const NodeId src : {0u, 1u, 2u, 3u, 4u}) {
+    fx.deliver_ready(src, kN + 5, 1);
+  }
+  EXPECT_TRUE(fx.ctx.sent_of<BrachaReady>().empty());
+  // The last valid origin is tracked as usual.
+  for (const NodeId src : {0u, 1u, 2u, 3u, 4u}) fx.deliver_echo(src, kN - 1, 1);
+  ASSERT_EQ(fx.ctx.sent_of<BrachaReady>().size(), 1u);
+  EXPECT_EQ(fx.ctx.sent_of<BrachaReady>()[0]->origin, kN - 1);
+}
+
+TEST(AsyncBaUnitTest, IgnoresStepOutsideOneToThree) {
+  Fixture fx;
+  for (const int step : {0, 4, 255}) {
+    const auto s = static_cast<std::uint8_t>(step);
+    fx.deliver_init(2, 1, s, 1);
+    for (const NodeId src : {0u, 1u, 2u, 3u, 4u}) {
+      fx.deliver_echo(src, 6, 1, 1, s);
+    }
+    for (const NodeId src : {0u, 1u, 2u}) fx.deliver_ready(src, 5, 1, 1, s);
+  }
+  EXPECT_TRUE(fx.ctx.sent_of<BrachaEcho>().empty());
+  EXPECT_TRUE(fx.ctx.sent_of<BrachaReady>().empty());
+  fx.deliver_init(2, 1, 3, 1);  // step 3 is valid
+  EXPECT_EQ(fx.ctx.sent_of<BrachaEcho>().size(), 1u);
+}
+
+TEST(AsyncBaUnitTest, IgnoresRoundZero) {
+  Fixture fx;
+  fx.deliver_init(2, 0, 1, 1);
+  for (const NodeId src : {0u, 1u, 2u, 3u, 4u}) fx.deliver_echo(src, 6, 1, 0);
+  for (const NodeId src : {0u, 1u, 2u}) fx.deliver_ready(src, 5, 1, 0);
+  EXPECT_TRUE(fx.ctx.sent_of<BrachaEcho>().empty());
+  EXPECT_TRUE(fx.ctx.sent_of<BrachaReady>().empty());
+}
+
+TEST(AsyncBaUnitTest, TracksAFarFutureRoundInStateOfConstantSize) {
+  // A round-indexed array would need memory in proportion to 2^40 here;
+  // the round is only a lookup key, so the instance is tracked as usual.
+  Fixture fx;
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 40;
+  fx.deliver_init(2, kFar, 2, 1);
+  ASSERT_EQ(fx.ctx.sent_of<BrachaEcho>().size(), 1u);
+  EXPECT_EQ(fx.ctx.sent_of<BrachaEcho>()[0]->round, kFar);
+  for (const NodeId src : {0u, 1u, 2u, 3u, 4u}) {
+    fx.deliver_echo(src, 2, 1, kFar, 2);
+  }
+  ASSERT_EQ(fx.ctx.sent_of<BrachaReady>().size(), 1u);
+  EXPECT_EQ(fx.ctx.sent_of<BrachaReady>()[0]->round, kFar);
+  EXPECT_EQ(fx.ctx.sent_of<BrachaReady>()[0]->step, 2u);
+}
+
 TEST(AsyncBaUnitTest, RetransmitTimerRebroadcastsCurrentStep) {
   Fixture fx;
   ASSERT_FALSE(fx.ctx.timers.empty());
@@ -178,6 +249,33 @@ TEST(AsyncBaUnitTest, RetransmitTimerRebroadcastsCurrentStep) {
   EXPECT_EQ(fx.ctx.sent_of<BrachaInit>().size(), 1u);   // own init again
   EXPECT_EQ(fx.ctx.sent_of<BrachaEcho>().size(), 1u);   // echo for origin 2
   ASSERT_EQ(fx.ctx.timers.size(), 2u);                  // re-armed
+}
+
+TEST(AsyncBaUnitTest, RetransmitSendsEchoesThenReadiesInOriginOrder) {
+  Fixture fx;
+  fx.deliver_init(4, 1, 1, 1);
+  fx.deliver_init(2, 1, 1, 0);
+  for (const NodeId origin : {5u, 1u}) {
+    for (const NodeId src : {0u, 1u, 2u}) fx.deliver_ready(src, origin, 1);
+  }
+  fx.deliver_init(3, 2, 1, 1);  // a later round is not retransmitted
+  fx.ctx.clear_sent();
+  fx.ctx.advance_to(fx.ctx.timers[0].delay);
+  fx.ctx.fire(fx.node, fx.ctx.timers[0]);
+  std::vector<std::string> sent;
+  for (const MockContext::Sent& s : fx.ctx.sent) {
+    std::string line(s.payload->type());
+    if (const auto* e = dynamic_cast<const BrachaEcho*>(s.payload.get())) {
+      line += " " + std::to_string(e->origin) + "=" + std::to_string(e->value);
+    }
+    if (const auto* r = dynamic_cast<const BrachaReady*>(s.payload.get())) {
+      line += " " + std::to_string(r->origin) + "=" + std::to_string(r->value);
+    }
+    sent.push_back(line);
+  }
+  EXPECT_EQ(sent, (std::vector<std::string>{
+                      "asyncba/init", "asyncba/echo 2=0", "asyncba/echo 4=1",
+                      "asyncba/ready 1=1", "asyncba/ready 5=1"}));
 }
 
 }  // namespace
