@@ -19,13 +19,17 @@ sanitize() {
 
 # Each fault kind x one protocol, every run checked for safety; then a
 # guarded sweep must survive a throwing point, and --fail-fast must turn
-# that failure into exit 1.
+# that failure into exit 1. The librabft leader crash makes node 0 store
+# blocks from a BlockResponse in both repeats, so the shared block store
+# runs on the sweep's worker threads.
 fault_matrix() {
   "$tools/fault_matrix"
   cat > "$out/sweep.json" <<'JSON'
 {"repeats": 2, "points": [
   {"protocol": "pbft", "n": 4, "decisions": 1, "seed": 1,
    "faults": {"crashes": [{"node": 1, "at_ms": 200, "duration_ms": 800}]}},
+  {"protocol": "librabft", "n": 16, "decisions": 10, "seed": 1,
+   "faults": {"crashes": [{"node": 0, "at_ms": 500, "duration_ms": 2000}]}},
   {"protocol": "no-such-protocol", "n": 4, "seed": 7}
 ]}
 JSON

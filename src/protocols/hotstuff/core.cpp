@@ -6,43 +6,55 @@
 
 namespace bftsim::hotstuff {
 
+namespace {
+
+/// The genesis block every replica starts from: one object in static
+/// storage, stored through a pointer that owns nothing.
+const Block& genesis_block() {
+  static const Block genesis{
+      .id = kGenesisId, .parent = kGenesisId, .justify = QuorumCert::genesis()};
+  return genesis;
+}
+
+}  // namespace
+
 Core::Core(NodeId id) : id_(id) {
-  Block genesis;
-  genesis.id = kGenesisId;
-  genesis.parent = kGenesisId;
-  genesis.view = 0;
-  genesis.value = 0;
-  genesis.height = 0;
-  genesis.justify = QuorumCert::genesis();
-  blocks_.insert(genesis);
-  high_qc_ = genesis.justify;
-  locked_qc_ = genesis.justify;
+  blocks_.insert(genesis_block(), nullptr);
+  high_qc_ = genesis_block().justify;
+  locked_qc_ = genesis_block().justify;
 }
 
 std::size_t BlockStore::slot_of(Value id) const noexcept {
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = mix64(id) & mask;
-  while (slots_[i] != 0 && blocks_[slots_[i] - 1].id != id) i = (i + 1) & mask;
+  while (slots_[i] != nullptr && slots_[i]->id != id) i = (i + 1) & mask;
   return i;
 }
 
 const Block* BlockStore::find(Value id) const noexcept {
-  const std::uint32_t pos = slots_[slot_of(id)];
-  return pos == 0 ? nullptr : &blocks_[pos - 1];
+  return slots_[slot_of(id)].get();
 }
 
-void BlockStore::insert(const Block& b) {
+void BlockStore::insert(const Block& b, const PayloadPtr& owner) {
   std::size_t slot = slot_of(b.id);
-  if (slots_[slot] != 0) return;
-  if (2 * (blocks_.size() + 1) > slots_.size()) {
-    slots_.assign(2 * slots_.size(), 0);
-    for (std::uint32_t k = 0; k < blocks_.size(); ++k) {
-      slots_[slot_of(blocks_[k].id)] = k + 1;
+  if (slots_[slot] != nullptr) return;
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<std::shared_ptr<const Block>> old(2 * slots_.size());
+    old.swap(slots_);
+    for (std::shared_ptr<const Block>& s : old) {
+      if (s != nullptr) slots_[slot_of(s->id)] = std::move(s);
     }
     slot = slot_of(b.id);
   }
-  blocks_.push_back(b);
-  slots_[slot] = static_cast<std::uint32_t>(blocks_.size());
+  slots_[slot] = std::shared_ptr<const Block>(owner, &b);
+  ++size_;
+}
+
+PayloadPtr Core::make_proposal(const Block& b, Context& ctx) {
+  const Signature sig = ctx.signer().sign(id_, b.digest());
+  PayloadPtr payload = ctx.make_payload<Proposal>(b, sig);
+  store(static_cast<const Proposal&>(*payload).block, payload);
+  return payload;
 }
 
 Block Core::make_block(View view, Context& ctx) {
@@ -165,7 +177,7 @@ bool Core::handle_catchup(const Message& msg, Context& ctx) {
     return true;
   }
   if (const auto* resp = msg.as<BlockResponse>()) {
-    for (const Block& b : resp->blocks) store(b);
+    for (const Block& b : resp->blocks) store(b, msg.payload);
     if (!resp->blocks.empty()) {
       const Block& oldest = resp->blocks.back();
       if (oldest.height > last_reported_height_ + 1 && !has(oldest.parent)) {

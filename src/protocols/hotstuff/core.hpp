@@ -110,26 +110,30 @@ struct BlockResponse final : Payload {
 
 // --- block store ------------------------------------------------------------
 
-/// One replica's blocks, keyed by id and never iterated: the blocks sit in
-/// one vector in insertion order, found through an open-addressing table
-/// of positions, so the few blocks an ancestry walk touches share cache
-/// lines instead of each being its own heap node. A pointer from find()
-/// stays valid until the next insert().
+/// One replica's blocks, keyed by id and never iterated. A slot holds no
+/// copy: it is a shared_ptr aliasing the payload that carried the block
+/// (a proposal or a block response), so the n replicas that store one
+/// proposal share its single Block, and the slot keeps that payload alive.
+/// The slots form an open-addressing table, a power of two in size and at
+/// most half full, probed by comparing ids through the pointers. A pointer
+/// from find() stays valid for the life of the store: growth moves slots,
+/// never the blocks they point at.
 class BlockStore {
  public:
-  BlockStore() : slots_(16, 0) {}
+  BlockStore() : slots_(16) {}
 
-  /// Adds `b` unless a block with its id is already stored.
-  void insert(const Block& b);
+  /// Adds `b`, which lives inside the payload `owner`, unless a block with
+  /// its id is already stored (the first one stays). An empty `owner`
+  /// stores a pointer that owns nothing, for a block of static storage.
+  void insert(const Block& b, const PayloadPtr& owner);
   [[nodiscard]] const Block* find(Value id) const noexcept;
 
  private:
   /// The table slot holding `id`, or the empty slot where it would go.
   [[nodiscard]] std::size_t slot_of(Value id) const noexcept;
 
-  std::vector<Block> blocks_;
-  /// 1 + index into blocks_, 0 for empty; a power of two, at most half full.
-  std::vector<std::uint32_t> slots_;
+  std::vector<std::shared_ptr<const Block>> slots_;
+  std::size_t size_ = 0;
 };
 
 // --- core -------------------------------------------------------------------
@@ -153,12 +157,19 @@ class Core {
   /// Creates the block a leader proposes in `view`, extending high_qc.
   [[nodiscard]] Block make_block(View view, Context& ctx);
 
-  /// Stores a block (id-keyed; duplicates ignored).
-  void store(const Block& b) { blocks_.insert(b); }
+  /// Signs `b`, builds the proposal payload that carries it, stores the
+  /// block inside that payload, and returns the payload to broadcast.
+  [[nodiscard]] PayloadPtr make_proposal(const Block& b, Context& ctx);
+
+  /// Stores `b`, which lives inside the payload `owner` (id-keyed;
+  /// duplicates ignored): the store shares the block, it copies nothing.
+  void store(const Block& b, const PayloadPtr& owner) {
+    blocks_.insert(b, owner);
+  }
   [[nodiscard]] bool has(Value id) const noexcept {
     return find(id) != nullptr;
   }
-  /// The stored block `id`, or nullptr; valid until the next store().
+  /// The stored block `id`, or nullptr; valid for the life of this Core.
   [[nodiscard]] const Block* find(Value id) const noexcept {
     return blocks_.find(id);
   }

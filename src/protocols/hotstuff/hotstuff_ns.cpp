@@ -26,10 +26,7 @@ void HotStuffNsNode::enter_view(View v, Context& ctx) {
 }
 
 void HotStuffNsNode::propose(Context& ctx) {
-  Block b = core_.make_block(cur_view_, ctx);
-  core_.store(b);
-  const Signature sig = ctx.signer().sign(id_, b.digest());
-  ctx.broadcast(ctx.make_payload<Proposal>(b, sig));
+  ctx.broadcast(core_.make_proposal(core_.make_block(cur_view_, ctx), ctx));
 }
 
 void HotStuffNsNode::on_message(const Message& msg, Context& ctx) {
@@ -56,7 +53,7 @@ void HotStuffNsNode::handle_proposal(const Message& msg, Context& ctx) {
   if (!ctx.signer().verify(m.sig) || m.sig.signer != msg.src) return;
   if (leader_of(m.block.view, ctx) != msg.src) return;
 
-  core_.store(m.block);
+  core_.store(m.block, msg.payload);
   if (core_.missing_ancestor(m.block)) {
     core_.request_block(m.block.parent, msg.src, ctx);
   }

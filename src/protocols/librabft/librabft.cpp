@@ -39,9 +39,9 @@ void LibraBftNode::advance_to(View v, bool progress, Context& ctx) {
   if (leader_of(cur_view_, ctx) == id_) propose(ctx);
   pending_.erase(pending_.begin(), pending_.lower_bound(cur_view_));
   if (const auto it = pending_.find(cur_view_); it != pending_.end()) {
-    const Block block = it->second;
+    const std::shared_ptr<const Block> block = std::move(it->second);
     pending_.erase(it);
-    try_vote(block, ctx);
+    try_vote(*block, ctx);
   }
 }
 
@@ -56,9 +56,7 @@ void LibraBftNode::try_vote(const Block& block, Context& ctx) {
 }
 
 void LibraBftNode::propose(Context& ctx) {
-  Block b = core_.make_block(cur_view_, ctx);
-  core_.store(b);
-  ctx.broadcast(ctx.make_payload<Proposal>(b, ctx.signer().sign(id_, b.digest())));
+  ctx.broadcast(core_.make_proposal(core_.make_block(cur_view_, ctx), ctx));
 }
 
 void LibraBftNode::on_message(const Message& msg, Context& ctx) {
@@ -79,7 +77,7 @@ void LibraBftNode::handle_proposal(const Message& msg, Context& ctx) {
   if (!ctx.signer().verify(m.sig) || m.sig.signer != msg.src) return;
   if (leader_of(m.block.view, ctx) != msg.src) return;
 
-  core_.store(m.block);
+  core_.store(m.block, msg.payload);
   if (core_.missing_ancestor(m.block)) {
     core_.request_block(m.block.parent, msg.src, ctx);
   }
@@ -92,7 +90,8 @@ void LibraBftNode::handle_proposal(const Message& msg, Context& ctx) {
   if (m.block.view > cur_view_) {
     // Behind (e.g. the TC that advanced the proposer is still in flight):
     // park the proposal until a certificate moves us there.
-    pending_.emplace(m.block.view, m.block);
+    pending_.emplace(m.block.view,
+                     std::shared_ptr<const Block>(msg.payload, &m.block));
     return;
   }
   try_vote(m.block, ctx);

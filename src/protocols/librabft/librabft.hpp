@@ -84,8 +84,9 @@ class LibraBftNode final : public Node {
   QuorumTracker<View> timeout_votes_;
   OnceSet<View> tc_formed_;
   /// Proposals for views we have not entered yet (a TC/QC that lets us
-  /// enter may still be in flight).
-  std::map<View, Block> pending_;
+  /// enter may still be in flight): each block aliases, and keeps alive,
+  /// the proposal payload that carried it.
+  std::map<View, std::shared_ptr<const Block>> pending_;
 };
 
 [[nodiscard]] std::unique_ptr<Node> make_librabft_node(NodeId id,

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hotstuff_blocks.hpp"
 #include "protocols/hotstuff/core.hpp"
 #include "sim/simulation.hpp"
 
 namespace bftsim {
 namespace {
+
+using bftsim::testing::store_block;
 
 SimConfig hs_config(std::uint32_t n = 16, std::uint64_t seed = 1) {
   SimConfig cfg;
@@ -38,7 +41,7 @@ TEST(HotStuffCoreTest, SafeToVoteRules) {
   b.view = 1;
   b.height = 1;
   b.justify = QuorumCert::genesis();
-  core.store(b);
+  store_block(core, b);
   // Extends the locked (genesis) block: safe.
   EXPECT_TRUE(core.safe_to_vote(b));
 
@@ -47,7 +50,7 @@ TEST(HotStuffCoreTest, SafeToVoteRules) {
   orphan.parent = 999;  // unknown parent, does not extend the lock
   orphan.view = 1;
   orphan.justify = QuorumCert{0, 999};
-  core.store(orphan);
+  store_block(core, orphan);
   EXPECT_FALSE(core.safe_to_vote(orphan));
 }
 
@@ -61,7 +64,7 @@ TEST(HotStuffCoreTest, VoteAggregationFormsQuorumCertOnce) {
   child.parent = 5;  // unknown
   child.view = 2;
   child.height = 2;
-  core.store(child);
+  store_block(core, child);
   EXPECT_TRUE(core.missing_ancestor(child));
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hotstuff_blocks.hpp"
 #include "common/mock_context.hpp"
 #include "protocols/hotstuff/hotstuff_ns.hpp"
 
@@ -12,6 +13,9 @@ namespace bftsim::hotstuff {
 namespace {
 
 using bftsim::testing::MockContext;
+using bftsim::testing::block_of;
+using bftsim::testing::store_block;
+using bftsim::testing::wrap_block;
 
 constexpr std::uint32_t kN = 4;  // f = 1, QC quorum = n - f = 3
 constexpr Time kLambda = from_ms(1000);
@@ -42,10 +46,10 @@ QuorumCert qc_for(View view, Value block) {
 TEST(BlockStoreTest, FindsEveryBlockAcrossGrowthAndKeepsTheFirstCopy) {
   BlockStore store;
   for (Value id = 1; id <= 1000; ++id) {
-    store.insert(make_block(id, id - 1, id, id, QuorumCert::genesis()));
+    store_block(store, make_block(id, id - 1, id, id, QuorumCert::genesis()));
   }
   // A second block with a stored id is ignored, as std::map::emplace would.
-  store.insert(make_block(7, 0, 99, 99, QuorumCert::genesis()));
+  store_block(store, make_block(7, 0, 99, 99, QuorumCert::genesis()));
   for (Value id = 1; id <= 1000; ++id) {
     const Block* b = store.find(id);
     ASSERT_NE(b, nullptr) << id;
@@ -57,15 +61,85 @@ TEST(BlockStoreTest, FindsEveryBlockAcrossGrowthAndKeepsTheFirstCopy) {
   EXPECT_EQ(store.find(kGenesisId), nullptr);
 }
 
+TEST(BlockStoreTest, SharesTheCarriedBlockAndOutlivesTheMessage) {
+  BlockStore store;
+  const Block* stored = nullptr;
+  {
+    Message msg;
+    msg.src = 1;
+    msg.payload = wrap_block(make_block(5, kGenesisId, 1, 1, qc_for(0, 0)));
+    store.insert(block_of(msg.payload), msg.payload);
+    // The slot points into the payload, no copy, and holds a reference.
+    stored = &block_of(msg.payload);
+    EXPECT_EQ(store.find(5), stored);
+    EXPECT_EQ(msg.payload.use_count(), 2);
+  }  // the message, its payload pointer and every other reference are gone
+  ASSERT_EQ(store.find(5), stored);
+  EXPECT_EQ(stored->id, 5u);
+  EXPECT_EQ(stored->view, 1u);
+  EXPECT_EQ(stored->value, 5000u);
+  EXPECT_EQ(stored->justify.signers().size(), 3u);
+}
+
+TEST(BlockStoreTest, DuplicateIdKeepsTheFirstBlockAndDropsTheSecond) {
+  BlockStore store;
+  const PayloadPtr first = wrap_block(make_block(7, 0, 1, 1, qc_for(0, 0)));
+  const PayloadPtr second = wrap_block(make_block(7, 0, 99, 99, qc_for(0, 0)));
+  store.insert(block_of(first), first);
+  store.insert(block_of(second), second);
+  EXPECT_EQ(store.find(7), &block_of(first));
+  EXPECT_EQ(store.find(7)->view, 1u);
+  EXPECT_EQ(first.use_count(), 2);
+  EXPECT_EQ(second.use_count(), 1);  // the store kept no reference
+}
+
+TEST(BlockStoreTest, FoundPointersSurviveTableGrowth) {
+  BlockStore store;
+  store_block(store, make_block(1, kGenesisId, 1, 1, QuorumCert::genesis()));
+  const Block* first = store.find(1);
+  ASSERT_NE(first, nullptr);
+  for (Value id = 2; id <= 1000; ++id) {  // the table doubles six times
+    store_block(store, make_block(id, id - 1, id, id, QuorumCert::genesis()));
+  }
+  EXPECT_EQ(store.find(1), first);
+  EXPECT_EQ(first->id, 1u);
+  EXPECT_EQ(first->height, 1u);
+}
+
+TEST(BlockStoreTest, EachBlockOfOneResponseIsFoundOnItsOwn) {
+  MockContext ctx(0, kN, 1, kLambda);
+  Core core(0);
+  const Block b1 = make_block(1, kGenesisId, 1, 1, QuorumCert::genesis());
+  const Block b2 = make_block(2, 1, 2, 2, qc_for(1, 1));
+  const Block b3 = make_block(3, 2, 3, 3, qc_for(2, 2));
+  const BlockResponse* resp = nullptr;
+  {
+    Message response;
+    response.src = 2;
+    response.dst = 0;
+    response.payload =
+        make_payload<BlockResponse>(std::vector<Block>{b3, b2, b1});
+    resp = response.as<BlockResponse>();
+    EXPECT_TRUE(core.handle_catchup(response, ctx));
+    // One reference per stored block, all to the one response.
+    EXPECT_EQ(response.payload.use_count(), 4);
+  }
+  for (std::size_t i = 0; i < resp->blocks.size(); ++i) {
+    const Block& carried = resp->blocks[i];
+    ASSERT_EQ(core.find(carried.id), &carried) << carried.id;
+    EXPECT_EQ(core.find(carried.id)->height, carried.id);
+  }
+}
+
 struct ChainFixture {
   ChainFixture() : ctx(0, kN, 1, kLambda), core(0) {
     // genesis <- b1(v1) <- b2(v2) <- b3(v3)
     b1 = make_block(1, kGenesisId, 1, 1, QuorumCert::genesis());
     b2 = make_block(2, 1, 2, 2, qc_for(1, 1));
     b3 = make_block(3, 2, 3, 3, qc_for(2, 2));
-    core.store(b1);
-    core.store(b2);
-    core.store(b3);
+    store_block(core, b1);
+    store_block(core, b2);
+    store_block(core, b3);
   }
 
   MockContext ctx;
@@ -88,9 +162,9 @@ TEST(HotStuffCoreUnitTest, NonConsecutiveViewsDoNotCommit) {
   const Block b1 = make_block(1, kGenesisId, 1, 1, QuorumCert::genesis());
   const Block b2 = make_block(2, 1, 3, 2, qc_for(1, 1));  // view gap 1 -> 3
   const Block b3 = make_block(3, 2, 4, 3, qc_for(3, 2));
-  core.store(b1);
-  core.store(b2);
-  core.store(b3);
+  store_block(core, b1);
+  store_block(core, b2);
+  store_block(core, b3);
   core.process_qc(qc_for(4, 3), ctx);
   EXPECT_TRUE(ctx.decisions.empty());  // 4-3 consecutive but 3-1 not
 }
@@ -99,8 +173,8 @@ TEST(HotStuffCoreUnitTest, CommitReportsAncestorsInOrder) {
   ChainFixture fx;
   const Block b4 = make_block(4, 3, 4, 4, qc_for(3, 3));
   const Block b5 = make_block(5, 4, 5, 5, qc_for(4, 4));
-  fx.core.store(b4);
-  fx.core.store(b5);
+  store_block(fx.core, b4);
+  store_block(fx.core, b5);
   fx.core.process_qc(qc_for(5, 5), fx.ctx);  // commits b1, b2, b3 at once
   ASSERT_EQ(fx.ctx.decisions.size(), 3u);
   EXPECT_EQ(fx.ctx.decisions[0], fx.b1.value);
@@ -140,18 +214,18 @@ TEST(HotStuffCoreUnitTest, SafeToVoteBranches) {
 
   // Safety branch: extends the locked block.
   const Block extending = make_block(9, 3, 9, 4, qc_for(2, 2));
-  fx.core.store(extending);
+  store_block(fx.core, extending);
   EXPECT_TRUE(fx.core.safe_to_vote(extending));
 
   // Liveness branch: conflicting chain but newer justify.
   const Block fork = make_block(10, kGenesisId, 10, 1, qc_for(3, 3));
-  fx.core.store(fork);
+  store_block(fx.core, fork);
   EXPECT_TRUE(fx.core.safe_to_vote(fork));
 
   // Neither: conflicting chain with an old justify.
   const Block unsafe = make_block(11, kGenesisId, 11, 1,
                                   QuorumCert::genesis());
-  fx.core.store(unsafe);
+  store_block(fx.core, unsafe);
   EXPECT_FALSE(fx.core.safe_to_vote(unsafe));
 }
 
@@ -186,7 +260,7 @@ TEST(HotStuffCoreUnitTest, StoredCopiesShareOneSignerBody) {
   // all copies point at the body add_vote built, and none allocates.
   const std::size_t arena_bytes = ctx.arena().bytes_allocated();
   for (Value id = 1; id <= 100; ++id) {
-    core.store(make_block(id, kGenesisId, 2, 1, *qc));
+    store_block(core, make_block(id, kGenesisId, 2, 1, *qc));
   }
   for (Value id = 1; id <= 100; ++id) {
     ASSERT_NE(core.find(id), nullptr);
@@ -210,7 +284,7 @@ TEST(HotStuffCoreUnitTest, MissingAncestorDetectionAndCatchup) {
   const Block b1 = make_block(1, kGenesisId, 1, 1, QuorumCert::genesis());
   const Block b2 = make_block(2, 1, 2, 2, qc_for(1, 1));
   const Block b3 = make_block(3, 2, 3, 3, qc_for(2, 2));
-  core.store(b3);  // b1, b2 missing
+  store_block(core, b3);  // b1, b2 missing
   EXPECT_TRUE(core.missing_ancestor(b3));
 
   core.request_block(b3.parent, /*from=*/2, ctx);
